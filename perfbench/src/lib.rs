@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use report::{Metrics, Outcome};
-use stats::{mean, median, quantile};
+use stats::{mean, median, minimum, quantile};
 use trace::Span;
 use workloads::{fixture, run_phase, set_up, Base, Fixture, Phase, Scale, Workload};
 
@@ -135,7 +135,11 @@ pub fn end_to_end(workload: Workload, setup_s: f64, phase: &Phase) -> (Metrics, 
         ("objective_mean", mean(&phase.objectives), "score"),
         ("commit_p50_ms", median(commits), "ms"),
         ("commit_exact_p50_ms", median(&ch.exact_ms), "ms"),
-        ("commit_approx_first_ms", median(&ch.approx_first_ms), "ms"),
+        // The fastest first commit, not the median: its spectrum step is a
+        // dense, cache-bound eigensolve whose time doubles while other work
+        // shares the physical core, so the median flips between the two
+        // modes from run to run.
+        ("commit_approx_first_ms", minimum(&ch.approx_first_ms), "ms"),
         ("commit_approx_p50_ms", median(&ch.approx_rest_ms), "ms"),
         ("approx_quality", approx_quality, "ratio"),
     ];

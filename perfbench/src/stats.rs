@@ -17,6 +17,11 @@ pub fn median(values: &[f64]) -> Option<f64> {
     quantile(values, 0.5)
 }
 
+/// The smallest value, or `None` for an empty sample.
+pub fn minimum(values: &[f64]) -> Option<f64> {
+    quantile(values, 0.0)
+}
+
 /// The arithmetic mean, or `None` for an empty sample.
 pub fn mean(values: &[f64]) -> Option<f64> {
     (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
@@ -83,6 +88,7 @@ mod tests {
         assert_eq!(median(&v), Some(3.0));
         assert_eq!(quantile(&v, 1.0), Some(5.0));
         assert_eq!(quantile(&v, 0.0), Some(1.0));
+        assert_eq!(minimum(&v), Some(1.0));
         assert_eq!(median(&[]), None);
     }
 

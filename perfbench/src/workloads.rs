@@ -150,9 +150,12 @@ pub fn fixture(workload: Workload, scale: Scale) -> Fixture {
                 serve_epochs: 10,
                 chain_rounds: 3,
                 // Medium commits and set-ups take ~0.1 s and read noisier
-                // than chicago_like's: sample them more.
-                replicas: if chicago { (1, 3) } else { (2, 8) },
-                setup_reps: if chicago { 3 } else { 7 },
+                // than chicago_like's: sample them more. On chicago_like the
+                // approximate replicas are what spread the plan and
+                // first-commit samples over the run (an Exact commit holds
+                // both cores for over a second).
+                replicas: if chicago { (1, 6) } else { (2, 8) },
+                setup_reps: if chicago { 5 } else { 15 },
             }
         }
         Scale::Tiny => {
