@@ -30,13 +30,17 @@
 //!   a comparably connected network" number.
 //!
 //! **Timing** (honest 1-core by default; `--threads` to override). The
-//! per-round marginal of a warm session absorbing one more route —
-//! `branch → commit → re-plan` — measured under each policy from
-//! identical warm states, medians over `--reps` repetitions. With
-//! `--baseline` the medians land in `bench_baseline.json` as
-//! `refresh_approx/commit_replan_exact_ns/{city}` and
-//! `refresh_approx/commit_replan_approx_ns/{city}` so `bench_check` gates
-//! them; `--assert-speedup R` additionally requires exact/approx ≥ R.
+//! per-round marginal of a session absorbing one more route — `branch →
+//! commit → re-plan` — measured under each policy from identical states,
+//! medians over `--reps` repetitions, twice: for the *first* commit after
+//! a cold build and for a *later* one (after one commit). The two differ
+//! in where the approximate tier's spectrum head starts: the cold build's
+//! Ritz vectors or the previous commit's. With `--baseline` the medians
+//! land in `bench_baseline.json` as
+//! `refresh_approx/first_commit_{exact,approx}_ns/{city}` and
+//! `refresh_approx/commit_replan_{exact,approx}_ns/{city}` so
+//! `bench_check` gates them; `--assert-speedup R` additionally requires
+//! exact/approx ≥ R for both the first and the later commit.
 
 use std::time::{Duration, Instant};
 
@@ -276,51 +280,61 @@ fn main() {
     println!("drift: all bounds hold");
 
     // ── Timing: the per-round marginal under each policy, from identical
-    // warm states (round 0 planned and committed, round 1 planned; the
-    // approximate warm state therefore carries a Ritz basis to seed the
-    // next warm-started spectrum, which is the steady state it serves in).
-    let warm_state = |policy: RefreshPolicy| -> (PlanningSession, RoutePlan) {
+    // states with `commits` routes absorbed and the next one planned. After
+    // a commit the approximate state carries the previous commit's Ritz
+    // basis (the steady state it serves in); before any, the cold build's.
+    let state = |policy: RefreshPolicy, commits: usize| -> (PlanningSession, RoutePlan) {
         let mut s = PlanningSession::new(city.clone(), demand.clone(), params).with_refresh(policy);
-        let first = s.plan(mode).best;
-        assert!(!first.is_empty());
-        s.commit(&first);
-        let second = s.plan(mode).best;
-        assert!(!second.is_empty());
-        (s, second)
+        let mut next = s.plan(mode).best;
+        for _ in 0..commits {
+            assert!(!next.is_empty());
+            s.commit(&next);
+            next = s.plan(mode).best;
+        }
+        assert!(!next.is_empty());
+        (s, next)
     };
-    let (exact_warm, exact_next) = warm_state(RefreshPolicy::Exact);
-    let (approx_warm, approx_next) = warm_state(RefreshPolicy::approximate());
-    let (exact_med, exact_min) = time_commit_replan(&exact_warm, &exact_next, mode, cfg.reps);
-    let (approx_med, approx_min) = time_commit_replan(&approx_warm, &approx_next, mode, cfg.reps);
-    let speedup = exact_med.as_secs_f64() / approx_med.as_secs_f64();
-    println!(
-        "commit+replan marginal ({} reps, {} threads): exact {:.2} ms | approximate {:.2} ms \
-         | speedup {speedup:.2}x",
-        cfg.reps,
-        cfg.threads,
-        exact_med.as_secs_f64() * 1e3,
-        approx_med.as_secs_f64() * 1e3
-    );
+    let mut records = Vec::new();
+    let mut speedups = Vec::new();
+    for (what, label, commits) in
+        [("first commit", "first_commit", 0), ("later commit", "commit_replan", 1)]
+    {
+        let mut medians = Vec::new();
+        for (tier, policy) in
+            [("exact", RefreshPolicy::Exact), ("approx", RefreshPolicy::approximate())]
+        {
+            let (s, next) = state(policy, commits);
+            let (med, min) = time_commit_replan(&s, &next, mode, cfg.reps);
+            medians.push(med.as_secs_f64());
+            records.push((
+                format!("refresh_approx/{label}_{tier}_ns/{}", cfg.preset),
+                min.as_nanos(),
+                med.as_nanos(),
+                med.as_nanos(),
+                cfg.reps,
+            ));
+        }
+        let speedup = medians[0] / medians[1];
+        println!(
+            "{what} + replan ({} reps, {} threads): exact {:.2} ms | approximate {:.2} ms \
+             | speedup {speedup:.2}x",
+            cfg.reps,
+            cfg.threads,
+            medians[0] * 1e3,
+            medians[1] * 1e3
+        );
+        speedups.push((what, speedup));
+    }
     if let Some(min) = cfg.assert_speedup {
-        assert!(speedup >= min, "approximate speedup {speedup:.2}x below required {min:.2}x");
+        for (what, speedup) in speedups {
+            assert!(
+                speedup >= min,
+                "approximate {what} speedup {speedup:.2}x below required {min:.2}x"
+            );
+        }
     }
 
     if cfg.baseline {
-        merge_baseline(&[
-            (
-                format!("refresh_approx/commit_replan_exact_ns/{}", cfg.preset),
-                exact_min.as_nanos(),
-                exact_med.as_nanos(),
-                exact_med.as_nanos(),
-                cfg.reps,
-            ),
-            (
-                format!("refresh_approx/commit_replan_approx_ns/{}", cfg.preset),
-                approx_min.as_nanos(),
-                approx_med.as_nanos(),
-                approx_med.as_nanos(),
-                cfg.reps,
-            ),
-        ]);
+        merge_baseline(&records);
     }
 }

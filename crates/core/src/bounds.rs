@@ -67,23 +67,30 @@ pub fn path_graph_eigenvalues(k: usize) -> Vec<f64> {
 /// Lemma 4: bound on `λ(G')` after adding a `k`-edge simple path.
 ///
 /// Tighter than [`general_bound`] because the perturbation's spectrum is
-/// known in closed form and only its `⌊(k+1)/2⌋` positive eigenvalues can
+/// known in closed form and only its `⌈k/2⌉` positive eigenvalues can
 /// push eigenvalues of `G'` upward.
+///
+/// A head shorter than `⌈k/2⌉` stays admissible: each missing rank takes
+/// the last value present, which bounds every lower-ranked eigenvalue from
+/// above. An empty head (`k > 0`) bounds nothing and yields `+∞`.
 pub fn path_bound(base_lambda: f64, top_eigs: &[f64], k: usize, n: usize) -> f64 {
     assert!(n > 0, "graph must have vertices");
     if k == 0 {
         return base_lambda;
     }
+    let Some(&last) = top_eigs.last() else {
+        return f64::INFINITY;
+    };
     let ln_n = (n as f64).ln();
     let m = k.div_ceil(2);
     let sigma = path_graph_eigenvalues(k);
     let mut terms = Vec::with_capacity(m + 1);
     terms.push(base_lambda);
-    for i in 0..m.min(top_eigs.len()) {
-        let s = sigma[i];
+    for (i, &s) in sigma.iter().take(m).enumerate() {
         debug_assert!(s > 0.0, "only positive path eigenvalues contribute");
+        let lambda = top_eigs.get(i).copied().unwrap_or(last);
         // (e^{σ_i} − 1) e^{λ_i} / n, in log space.
-        terms.push(s.exp_m1().ln() + top_eigs[i] - ln_n);
+        terms.push(s.exp_m1().ln() + lambda - ln_n);
     }
     logsumexp(&terms)
 }
@@ -234,6 +241,21 @@ mod tests {
         let eigs = top_eigs_desc(&a);
         assert_eq!(general_bound(base, &eigs, 0, a.n()), base);
         assert_eq!(path_bound(base, &eigs, 0, a.n()), base);
+    }
+
+    #[test]
+    fn path_bound_pads_short_heads_and_refuses_empty_ones() {
+        let a = random_graph(40, 70, 8);
+        let base = natural_connectivity_exact(&a).unwrap();
+        let eigs = top_eigs_desc(&a);
+        for k in [6usize, 11, 20] {
+            let full = path_bound(base, &eigs, k, a.n());
+            for len in [1usize, 2, k.div_ceil(2) - 1] {
+                let short = path_bound(base, &eigs[..len], k, a.n());
+                assert!(short >= full, "k={k}, head of {len}: {short} < {full}");
+            }
+            assert_eq!(path_bound(base, &[], k, a.n()), f64::INFINITY);
+        }
     }
 
     #[test]

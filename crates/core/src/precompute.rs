@@ -25,13 +25,12 @@ use std::time::Instant;
 use ct_data::{City, DemandModel};
 use ct_linalg::lanczos::expm_column_in;
 use ct_linalg::{
-    block_krylov_topk, block_krylov_topk_warm, ConnectivityEstimator, CsrMatrix, EdgeOverlay,
-    LanczosWorkspace,
+    block_krylov_head, ConnectivityEstimator, CsrMatrix, EdgeOverlay, LanczosWorkspace,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::bounds::path_bound;
+use crate::bounds::{estrada_bound, path_bound};
 use crate::candidates::CandidateSet;
 use crate::params::CtBusParams;
 use crate::ranked::RankedList;
@@ -50,23 +49,6 @@ pub enum DeltaMethod {
     /// Lanczos `e^A e_j` solve per *stop* instead of one trace estimate per
     /// *edge* — deterministic, noise-free, and typically much cheaper.
     Perturbation,
-}
-
-/// How [`Precomputed::assemble_with_spectrum`] builds the spectrum head
-/// (`top_eigs` + optional Ritz basis) for the Lemma 3/4 bounds.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) enum SpectrumMode<'a> {
-    /// Historical cold start: fresh random probes, generous column budget,
-    /// no basis retained. Bit-identical to every release so far.
-    #[default]
-    Cold,
-    /// Approximate-refresh start: smaller head, seeded from the previous
-    /// commit's Ritz vectors when available, new vectors retained in
-    /// [`Precomputed::spectrum_basis`].
-    Warm {
-        /// Previous commit's Ritz basis (`None` on the first warm commit).
-        prev_basis: Option<&'a [Vec<f64>]>,
-    },
 }
 
 /// Wall-clock cost of the pre-computation stages (Table 4).
@@ -108,10 +90,10 @@ pub struct Precomputed {
     /// Lemma 4 connectivity-increment upper bound for a `k`-edge path
     /// (`path_bound − λ(Gr)`), the online planner's `O↑λ`.
     pub conn_path_ub: f64,
-    /// Ritz vectors paired with the head of `top_eigs`, kept only when the
-    /// spectrum was built warm-startable (the approximate refresh tier);
-    /// `None` on the exact path, which stays bit-identical to the
-    /// historical cold start.
+    /// Ritz vectors paired with `top_eigs` front to front, kept by every
+    /// build and commit so the next approximate-tier commit can seed its
+    /// spectrum head with them; `None` only when the spectrum solve failed.
+    /// No planner reads it.
     pub spectrum_basis: Option<Arc<Vec<Vec<f64>>>>,
     /// Spatial shard classification of the candidate pool (see
     /// [`crate::shard`]); `None` when planning unsharded. A locality hint
@@ -196,6 +178,7 @@ impl Precomputed {
             estimator,
             params,
             PrecomputeTimings { shortest_path_secs, connectivity_secs },
+            &[],
             shard_layout,
         )
     }
@@ -210,6 +193,11 @@ impl Precomputed {
     /// refresh): both feed it the same ingredients, so a committed session's
     /// artifacts are bit-identical to a from-scratch rebuild by
     /// construction.
+    ///
+    /// `seeds` are the Ritz vectors the spectrum head starts from: empty
+    /// for a cold build and every exact-tier commit (the unseeded head,
+    /// bit-identical to a rebuild), the previous head's for an
+    /// approximate-tier commit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         candidates: CandidateSet,
@@ -219,38 +207,7 @@ impl Precomputed {
         estimator: ConnectivityEstimator,
         params: &CtBusParams,
         timings: PrecomputeTimings,
-        shard_layout: Option<Arc<ShardLayout>>,
-    ) -> Precomputed {
-        Self::assemble_with_spectrum(
-            candidates,
-            delta,
-            base_adj,
-            base_trace,
-            estimator,
-            params,
-            timings,
-            SpectrumMode::Cold,
-            shard_layout,
-        )
-    }
-
-    /// [`Precomputed::assemble`] with an explicit spectrum strategy.
-    ///
-    /// `SpectrumMode::Cold` reproduces the historical cold start
-    /// bit-for-bit (same RNG stream, same column budget, no basis kept).
-    /// `SpectrumMode::Warm` is the approximate refresh tier: a smaller
-    /// head re-converged from the previous commit's Ritz vectors, with the
-    /// new vectors retained in `spectrum_basis` for the next commit.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble_with_spectrum(
-        candidates: CandidateSet,
-        delta: Vec<f64>,
-        base_adj: CsrMatrix,
-        base_trace: f64,
-        estimator: ConnectivityEstimator,
-        params: &CtBusParams,
-        timings: PrecomputeTimings,
-        spectrum: SpectrumMode<'_>,
+        seeds: &[Vec<f64>],
         shard_layout: Option<Arc<ShardLayout>>,
     ) -> Precomputed {
         let base_lambda = base_trace.ln() - (base_adj.n() as f64).ln();
@@ -269,35 +226,17 @@ impl Precomputed {
             .collect();
         let le = RankedList::new(&le_values);
 
-        // Spectrum for the Lemma 3/4 bounds.
-        // Generous spectrum head so `reparameterize` stays valid for larger
-        // k than the one built with (Lemma 4 needs ⌊(k+1)/2⌋ eigenvalues;
-        // short-changing it would *under*-bound and break admissibility).
+        // Spectrum head for the Lemma 3/4 bounds: the 2k values Lemma 3
+        // reads (Lemma 4 needs ⌈k/2⌉), at least 32. `path_bound` pads a
+        // head that a later `reparameterize` to larger k finds short.
+        let want = (2 * params.k).max(32).min(base_adj.n());
         let mut rng = StdRng::seed_from_u64(params.probe_seed ^ 0x9E37_79B9);
-        let (top_eigs, spectrum_basis) = match spectrum {
-            SpectrumMode::Cold => {
-                let want = (2 * params.k).max(96).min(base_adj.n());
-                (block_krylov_topk(&base_adj, want, 0, &mut rng).unwrap_or_default(), None)
-            }
-            SpectrumMode::Warm { prev_basis } => {
-                // The approximate tier trades the reparameterize headroom
-                // for speed: only as many eigenvalues as the Lemma 4 bound
-                // for the *current* k needs, plus modest slack.
-                let want = (2 * params.k).max(32).min(base_adj.n());
-                match block_krylov_topk_warm(
-                    &base_adj,
-                    want,
-                    0,
-                    prev_basis.unwrap_or(&[]),
-                    &mut rng,
-                ) {
-                    Ok(head) => (head.values, Some(Arc::new(head.vectors))),
-                    Err(_) => (Vec::new(), None),
-                }
-            }
-        };
-        let conn_path_ub =
-            (path_bound(base_lambda, &top_eigs, params.k, base_adj.n()) - base_lambda).max(0.0);
+        let (top_eigs, spectrum_basis) =
+            match block_krylov_head(&base_adj, want, 0, seeds, &mut rng) {
+                Ok(head) => (head.values, Some(Arc::new(head.vectors))),
+                Err(_) => (Vec::new(), None),
+            };
+        let conn_path_ub = conn_path_ub(base_lambda, &top_eigs, params.k, &base_adj);
 
         Precomputed {
             candidates,
@@ -342,10 +281,7 @@ impl Precomputed {
                 params.w * e.demand / d_max + (1.0 - params.w) * self.delta[i] / lambda_max
             })
             .collect();
-        let conn_path_ub =
-            (path_bound(self.base_lambda, &self.top_eigs, params.k, self.base_adj.n())
-                - self.base_lambda)
-                .max(0.0);
+        let conn_path_ub = conn_path_ub(self.base_lambda, &self.top_eigs, params.k, &self.base_adj);
         Precomputed {
             candidates: self.candidates.clone(),
             delta: self.delta.clone(),
@@ -365,6 +301,19 @@ impl Precomputed {
             timings: self.timings,
         }
     }
+}
+
+/// The online planner's connectivity-increment bound `O↑λ`: Lemma 4 over
+/// the spectrum head, as an increment over `λ(Gr)`. An empty head (a
+/// failed spectrum solve) falls back to the spectrum-free Estrada bound,
+/// loose enough that the online modes prune nothing on it.
+fn conn_path_ub(base_lambda: f64, top_eigs: &[f64], k: usize, adj: &CsrMatrix) -> f64 {
+    let bound = if top_eigs.is_empty() {
+        estrada_bound(adj.num_undirected_edges(), k, adj.n())
+    } else {
+        path_bound(base_lambda, top_eigs, k, adj.n())
+    };
+    (bound - base_lambda).max(0.0)
 }
 
 /// Estimates `Δ(e)` for every new candidate in parallel.

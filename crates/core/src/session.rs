@@ -63,7 +63,6 @@ use crate::plan::RoutePlan;
 use crate::precompute::{
     compute_deltas_in, compute_deltas_perturbation, compute_deltas_perturbation_scoped,
     compute_deltas_scoped, compute_deltas_sharded, DeltaMethod, PrecomputeTimings, Precomputed,
-    SpectrumMode,
 };
 use crate::sites::{select_sites, SiteParams, SiteSelection};
 use crate::{PlannerMode, RunResult};
@@ -87,12 +86,9 @@ pub enum RefreshPolicy {
     /// the committed route (and, optionally, candidates incident to its
     /// stops) are re-scored; everything else carries its previous Δ(e)
     /// forward. The spectrum head is re-converged from the previous
-    /// commit's Ritz vectors instead of fresh probes.
+    /// state's Ritz vectors (every build and commit keeps them) instead of
+    /// fresh probes.
     Approximate {
-        /// Warm-start the spectrum head from the previous Ritz basis
-        /// (`false` falls back to the exact cold-start spectrum while
-        /// keeping the scoped Δ-sweep).
-        warm_spectrum: bool,
         /// Also re-score candidates incident to the committed route's
         /// stops, not just corridor-overlapping ones — catches the
         /// second-order connectivity shift around the new hubs for a
@@ -102,10 +98,9 @@ pub enum RefreshPolicy {
 }
 
 impl RefreshPolicy {
-    /// The recommended approximate tier: warm spectrum plus route-stop
-    /// widening.
+    /// The recommended approximate tier: route-stop widening on.
     pub fn approximate() -> RefreshPolicy {
-        RefreshPolicy::Approximate { warm_spectrum: true, include_route_stops: true }
+        RefreshPolicy::Approximate { include_route_stops: true }
     }
 
     /// Whether this is the exact (bit-identical) tier.
@@ -573,15 +568,12 @@ impl PlanningSession {
         };
         let refresh_secs = t0.elapsed().as_secs_f64();
 
-        let spectrum = match self.refresh {
-            RefreshPolicy::Exact => SpectrumMode::Cold,
-            RefreshPolicy::Approximate { warm_spectrum: false, .. } => SpectrumMode::Cold,
-            RefreshPolicy::Approximate { warm_spectrum: true, .. } => {
-                SpectrumMode::Warm { prev_basis: prev_basis.as_ref().map(|b| b.as_slice()) }
-            }
-        };
+        // The exact tier restarts the spectrum head unseeded (bit-identical
+        // to a rebuild); the approximate tier seeds it with the previous
+        // head's Ritz vectors.
+        let seeds = prev_basis.as_deref().map_or(&[][..], Vec::as_slice);
         let Precomputed { candidates, base_adj, estimator, .. } = pre;
-        self.pre = Some(Arc::new(Precomputed::assemble_with_spectrum(
+        self.pre = Some(Arc::new(Precomputed::assemble(
             candidates,
             delta,
             base_adj,
@@ -589,7 +581,7 @@ impl PlanningSession {
             estimator,
             &self.params,
             PrecomputeTimings { shortest_path_secs: 0.0, connectivity_secs: refresh_secs },
-            spectrum,
+            seeds,
             shard_layout,
         )));
         self.commits += 1;

@@ -172,32 +172,45 @@ fn approximate_replay_is_deterministic() {
 }
 
 #[test]
-fn warm_spectrum_basis_is_retained_and_close() {
+fn first_approximate_commit_is_seeded_and_close() {
     let (city, demand) = small_city(501);
     let params = quick_params();
     let mode = PlannerMode::EtaPre;
     let mut session = PlanningSession::new(city.clone(), demand.clone(), params)
         .with_refresh(RefreshPolicy::approximate());
+
+    // The cold build keeps its Ritz vectors, so the first approximate
+    // commit below starts from a converged head instead of a seedless one.
+    let cold = session.precomputed();
+    let n = cold.base_adj.n();
+    let want = (2 * params.k).max(32).min(n);
+    let cold_basis = cold.spectrum_basis.as_ref().expect("a cold build keeps its Ritz vectors");
+    assert_eq!(cold_basis.len(), want, "cold head keeps one vector per eigenvalue");
+    assert!(cold_basis.iter().all(|v| v.len() == n), "Ritz vectors have length n");
+    assert_eq!(cold.top_eigs.len(), want);
+
     let first = session.plan(mode);
     assert!(!first.best.is_empty());
     session.commit(&first.best);
 
     let pre = session.precomputed();
-    let basis = pre.spectrum_basis.as_ref().expect("warm commit retains a Ritz basis");
-    assert!(!basis.is_empty(), "retained basis is empty");
-    assert!(!pre.top_eigs.is_empty(), "warm spectrum head is empty");
+    let basis = pre.spectrum_basis.as_ref().expect("a seeded commit keeps its Ritz basis");
+    assert_eq!(basis.len(), want, "seeded head keeps one vector per eigenvalue");
+    assert_eq!(pre.top_eigs.len(), want, "seeded spectrum head is short");
 
-    // The warm head must track the exact spectrum of the evolved network.
+    // The seeded head must track the exact spectrum of the evolved network.
     let mut exact_session =
         PlanningSession::new(city, demand, params).with_refresh(RefreshPolicy::Exact);
     let exact_first = exact_session.plan(mode);
     assert_eq!(exact_first.best, first.best);
     exact_session.commit(&exact_first.best);
     let exact_pre = exact_session.precomputed();
-    let head = pre.top_eigs.len().min(exact_pre.top_eigs.len()).min(params.k);
-    for i in 0..head {
-        let (a, e) = (pre.top_eigs[i], exact_pre.top_eigs[i]);
-        assert!((a - e).abs() <= 0.05 * e.abs().max(1.0), "eigenvalue {i}: warm {a} vs exact {e}");
+    assert_eq!(exact_pre.top_eigs.len(), want);
+    for (i, (a, e)) in pre.top_eigs.iter().zip(&exact_pre.top_eigs).enumerate() {
+        assert!(
+            (a - e).abs() <= 0.05 * e.abs().max(1.0),
+            "eigenvalue {i}: seeded {a} vs exact {e}"
+        );
     }
 }
 
@@ -206,7 +219,7 @@ fn approximate_commit_sweeps_subset_even_without_route_stops() {
     let (city, demand) = small_city(503);
     let params = quick_params();
     let mode = PlannerMode::EtaPre;
-    let narrow = RefreshPolicy::Approximate { warm_spectrum: true, include_route_stops: false };
+    let narrow = RefreshPolicy::Approximate { include_route_stops: false };
     let wide = RefreshPolicy::approximate();
     let (_, narrow_sum) = replay(&city, &demand, params, 3, mode, narrow);
     let (_, wide_sum) = replay(&city, &demand, params, 3, mode, wide);

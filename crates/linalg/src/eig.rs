@@ -1,14 +1,19 @@
 //! Full symmetric eigensolvers.
 //!
 //! [`full_symmetric_eigenvalues`] (Householder + QL) is the exact baseline
-//! the paper calls "Eigen" in Table 2; [`jacobi_eigenvalues`] is an
-//! independent O(n³) solver used to cross-check it in tests.
+//! the paper calls "Eigen" in Table 2; [`top_symmetric_eigenpairs`] is the
+//! same solve plus the eigenvectors of its largest eigenvalues (the
+//! Rayleigh–Ritz step of the block-Krylov spectrum head);
+//! [`jacobi_eigenvalues`] is an independent O(n³) solver used to
+//! cross-check both in tests.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
-use crate::householder::householder_tridiagonalize;
+use crate::householder::{
+    householder_apply_q, householder_tridiagonalize, householder_tridiagonalize_with_reflectors,
+};
 use crate::sparse::CsrMatrix;
-use crate::tridiag::tridiag_eigenvalues;
+use crate::tridiag::{tridiag_eigenvalues, tridiag_ql_implicit};
 
 /// All eigenvalues of a dense symmetric matrix, sorted ascending.
 ///
@@ -20,6 +25,59 @@ pub fn full_symmetric_eigenvalues(mut a: DenseMatrix) -> Result<Vec<f64>, Linalg
     }
     let (d, e) = householder_tridiagonalize(&mut a);
     tridiag_eigenvalues(&d, &e)
+}
+
+/// The `want` algebraically largest eigenpairs of a dense symmetric matrix,
+/// largest first: `values[j]` with its unit eigenvector `vectors[j]`
+/// (`want` above `n` keeps all `n`).
+///
+/// The [`full_symmetric_eigenvalues`] solve with QL's rotation stream
+/// recorded. Only the kept eigenvectors are rebuilt: the rotations are
+/// replayed backwards on their unit vectors and the stored Householder
+/// reflectors applied, `O(want · n²)` on top of the values-only solve.
+/// The values are bit-identical to the largest `want` of
+/// [`full_symmetric_eigenvalues`], and the vectors orthonormal to working
+/// precision (products of exact rotations and reflectors), repeated
+/// eigenvalues included.
+pub fn top_symmetric_eigenpairs(
+    mut a: DenseMatrix,
+    want: usize,
+) -> Result<(Vec<f64>, Vec<Vec<f64>>), LinalgError> {
+    let n = a.n();
+    if n == 0 {
+        return Err(LinalgError::EmptyInput("matrix"));
+    }
+    let (mut d, mut e, h) = householder_tridiagonalize_with_reflectors(&mut a);
+    let mut rotations: Vec<(usize, f64, f64)> = Vec::new();
+    tridiag_ql_implicit(&mut d, &mut e, |i, s, c| rotations.push((i, s, c)))?;
+
+    // The stable ascending order `full_symmetric_eigenvalues` sorts into,
+    // read from the top.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&x, &y| d[x].partial_cmp(&d[y]).expect("eigenvalues are finite"));
+    let keep: Vec<usize> = order.iter().rev().take(want).copied().collect();
+    let width = keep.len();
+
+    // QL accumulates Z ← Z·G per rotation, so Z = G_1 ⋯ G_R and column j
+    // is G_1(⋯(G_R e_j)). All kept columns replay together, row-major
+    // (`x[r * width + p]`), so each rotation touches two contiguous rows.
+    let mut x = vec![0.0; n * width];
+    for (p, &j) in keep.iter().enumerate() {
+        x[j * width + p] = 1.0;
+    }
+    for &(i, s, c) in rotations.iter().rev() {
+        let (lo, hi) = x[i * width..(i + 2) * width].split_at_mut(width);
+        for (xi, xj) in lo.iter_mut().zip(hi) {
+            let (a0, a1) = (*xi, *xj);
+            *xi = c * a0 + s * a1;
+            *xj = c * a1 - s * a0;
+        }
+    }
+    householder_apply_q(&a, &h, &mut x, width);
+
+    let values = keep.iter().map(|&j| d[j]).collect();
+    let vectors = (0..width).map(|p| (0..n).map(|r| x[r * width + p]).collect()).collect();
+    Ok((values, vectors))
 }
 
 /// All eigenvalues of a sparse symmetric matrix via densification.
@@ -40,10 +98,9 @@ pub fn jacobi_eigenvalues(a: DenseMatrix, max_sweeps: usize) -> Result<Vec<f64>,
 /// with rotation accumulation: eigenvalues ascending, `vectors[j]` the unit
 /// eigenvector of `values[j]`.
 ///
-/// O(n³) per sweep — intended for the small Rayleigh–Ritz matrices of the
-/// warm-started block-Krylov head ([`crate::topk::block_krylov_topk_warm`]
-/// needs Ritz *vectors*, which the Householder + QL values-only path does
-/// not produce), not for large dense problems.
+/// A test oracle only: an algorithm independent of Householder + QL that
+/// the tests hold [`top_symmetric_eigenpairs`] against. O(n³) per sweep and
+/// tens of sweeps, so no solver in this crate calls it.
 pub fn jacobi_symmetric_eigen(
     mut a: DenseMatrix,
     max_sweeps: usize,
@@ -272,6 +329,88 @@ mod tests {
         let (vals, vecs) = jacobi_symmetric_eigen(a, 10).unwrap();
         assert_eq!(vals, vec![4.5]);
         assert_eq!(vecs, vec![vec![1.0]]);
+    }
+
+    #[test]
+    fn top_eigenpairs_values_bit_identical_to_values_only_path() {
+        for (n, seed) in [(1usize, 5u64), (2, 7), (9, 3), (40, 11), (120, 13)] {
+            let a = random_symmetric(n, seed);
+            let mut all = full_symmetric_eigenvalues(a.clone()).unwrap();
+            all.reverse();
+            for want in [1, n / 2 + 1, n, n + 3] {
+                let (vals, vecs) = top_symmetric_eigenpairs(a.clone(), want).unwrap();
+                let kept = want.min(n);
+                assert_eq!(vecs.len(), kept, "n={n} want={want}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&vals), bits(&all[..kept]), "n={n} want={want}");
+            }
+        }
+    }
+
+    fn graph(n: usize, edges: &[(u32, u32)]) -> DenseMatrix {
+        CsrMatrix::from_undirected_edges(n, edges).to_dense()
+    }
+
+    /// Two disjoint Petersen graphs: eigenvalues 3 (×2), 1 (×10), −2 (×8).
+    fn double_petersen() -> DenseMatrix {
+        let mut edges = Vec::new();
+        for copy in [0u32, 10] {
+            for i in 0..5u32 {
+                edges.push((copy + i, copy + (i + 1) % 5)); // outer cycle
+                edges.push((copy + 5 + i, copy + 5 + (i + 2) % 5)); // inner pentagram
+                edges.push((copy + i, copy + 5 + i)); // spoke
+            }
+        }
+        graph(20, &edges)
+    }
+
+    #[test]
+    fn top_eigenpairs_resolve_repeated_eigenvalues() {
+        let k6: Vec<(u32, u32)> = (0..6u32).flat_map(|i| (i + 1..6).map(move |j| (i, j))).collect();
+        let star: Vec<(u32, u32)> = (1..=5u32).map(|i| (0, i)).collect();
+        let cases =
+            [("K6", graph(6, &k6)), ("K1,5", graph(6, &star)), ("2×Petersen", double_petersen())];
+        for (name, t) in cases {
+            let n = t.n();
+            let (oracle_vals, oracle_vecs) = jacobi_symmetric_eigen(t.clone(), 100).unwrap();
+            for want in [3, n] {
+                let (vals, vecs) = top_symmetric_eigenpairs(t.clone(), want).unwrap();
+                let dot =
+                    |x: &[f64], y: &[f64]| -> f64 { x.iter().zip(y).map(|(a, b)| a * b).sum() };
+                for (i, (theta, w)) in vals.iter().zip(&vecs).enumerate() {
+                    for (j, v) in vecs.iter().enumerate() {
+                        let expect = if i == j { 1.0 } else { 0.0 };
+                        let got = dot(w, v);
+                        assert!((got - expect).abs() <= 1e-10, "{name}: w{i}·w{j} = {got}");
+                    }
+                    let mut tw = vec![0.0; n];
+                    t.matvec(w, &mut tw);
+                    let resid = tw.iter().zip(w).map(|(x, y)| (x - theta * y).powi(2)).sum::<f64>();
+                    assert!(
+                        resid.sqrt() <= 1e-10,
+                        "{name}: ‖Tw − θw‖ = {} for θ = {theta}",
+                        resid.sqrt()
+                    );
+                    // w lies in the span of the oracle's eigenvectors for θ.
+                    let cluster: Vec<&Vec<f64>> = oracle_vals
+                        .iter()
+                        .zip(&oracle_vecs)
+                        .filter(|(lam, _)| (*lam - theta).abs() <= 1e-8)
+                        .map(|(_, v)| v)
+                        .collect();
+                    let captured: f64 = cluster.iter().map(|v| dot(w, v).powi(2)).sum();
+                    assert!(
+                        (1.0 - captured).abs() <= 1e-9,
+                        "{name}: θ = {theta} leaves the cluster"
+                    );
+                    // A fully kept cluster has the oracle's dimension.
+                    let kept = vals.iter().filter(|x| (*x - theta).abs() <= 1e-8).count();
+                    if want == n {
+                        assert_eq!(kept, cluster.len(), "{name}: cluster of θ = {theta}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Householder reduction of a dense symmetric matrix to tridiagonal form.
 //!
-//! The eigenvalues-only variant (no transformation accumulation), which is
-//! all the exact natural-connectivity baseline needs: reduce `A` to
-//! tridiagonal `T` in `O(n³)`, then QL on `T` in `O(n²)`.
+//! The reduction never accumulates the transformation: the exact
+//! natural-connectivity baseline needs eigenvalues only (reduce `A` to
+//! tridiagonal `T` in `O(n³)`, then QL on `T` in `O(n²)`). Callers that
+//! need a few eigenvectors keep the reflectors the reduction leaves behind
+//! and map each tridiagonal eigenvector back with
+//! `householder_apply_q`, `O(n²)` per vector.
 
 use crate::dense::DenseMatrix;
 
@@ -12,8 +15,21 @@ use crate::dense::DenseMatrix;
 /// and `i + 1` (length `n`, last entry zero) — the convention expected by
 /// [`crate::tridiag::tridiag_eigenvalues`].
 pub fn householder_tridiagonalize(a: &mut DenseMatrix) -> (Vec<f64>, Vec<f64>) {
+    let (d, e, _) = householder_tridiagonalize_with_reflectors(a);
+    (d, e)
+}
+
+/// [`householder_tridiagonalize`] that also returns the reflector scales:
+/// `(d, e, h)` with `T = Qᵀ A Q`, `Q = P_{n−1} ⋯ P_2` and
+/// `P_i = I − u_i u_iᵀ / h[i]`, where `u_i` is left in row `i` of `a`,
+/// columns `0..i`. `h[i] == 0` marks a step that needed no reflector.
+/// `d` and `e` are bit-identical to [`householder_tridiagonalize`]'s.
+pub(crate) fn householder_tridiagonalize_with_reflectors(
+    a: &mut DenseMatrix,
+) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let n = a.n();
     let mut d = vec![0.0; n];
+    let mut hs = vec![0.0; n];
     // NR convention during the reduction: e_nr[i] couples rows i-1 and i.
     let mut e_nr = vec![0.0; n];
 
@@ -64,7 +80,7 @@ pub fn householder_tridiagonalize(a: &mut DenseMatrix) -> (Vec<f64>, Vec<f64>) {
         } else {
             e_nr[i] = a.get(i, l);
         }
-        d[i] = h;
+        hs[i] = h;
     }
     e_nr[0] = 0.0;
     for i in 0..n {
@@ -76,7 +92,43 @@ pub fn householder_tridiagonalize(a: &mut DenseMatrix) -> (Vec<f64>, Vec<f64>) {
     if n > 1 {
         e[..n - 1].copy_from_slice(&e_nr[1..]);
     }
-    (d, e)
+    (d, e, hs)
+}
+
+/// Maps tridiagonal eigenvectors back to eigenvectors of the matrix that
+/// [`householder_tridiagonalize_with_reflectors`] reduced: `x ← Q x` for
+/// `width` vectors stored row-major in `x` (`x[r * width + p]` is entry
+/// `r` of vector `p`), given the reduced matrix `reduced` and the scales
+/// `h`. Costs `O(width · n²)`.
+///
+/// # Panics
+/// Panics if `x.len() != reduced.n() * width` or `h.len() != reduced.n()`.
+pub(crate) fn householder_apply_q(reduced: &DenseMatrix, h: &[f64], x: &mut [f64], width: usize) {
+    let n = reduced.n();
+    assert_eq!(x.len(), n * width, "householder_apply_q: buffer size");
+    assert_eq!(h.len(), n, "householder_apply_q: reflector count");
+    let mut dots = vec![0.0; width];
+    // Q = P_{n−1} ⋯ P_2, so P_2 acts first.
+    for i in 2..n {
+        if h[i] == 0.0 {
+            continue;
+        }
+        let u = &reduced.row(i)[..i];
+        dots.fill(0.0);
+        for (k, &uk) in u.iter().enumerate() {
+            for (dp, xp) in dots.iter_mut().zip(&x[k * width..(k + 1) * width]) {
+                *dp += uk * xp;
+            }
+        }
+        for dp in dots.iter_mut() {
+            *dp /= h[i];
+        }
+        for (k, &uk) in u.iter().enumerate() {
+            for (xp, dp) in x[k * width..(k + 1) * width].iter_mut().zip(&dots) {
+                *xp -= uk * dp;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -11,13 +11,14 @@
 //!   dense symmetric matrices ([`dense::DenseMatrix`]);
 //! * exact full eigendecomposition — Householder tridiagonalization
 //!   ([`householder`]) followed by an implicit-shift QL iteration
-//!   ([`tridiag`]) — plus a cyclic Jacobi solver used as a cross-check;
+//!   ([`tridiag`]), optionally with the eigenvectors of the largest
+//!   eigenvalues — plus a cyclic Jacobi solver used as a cross-check;
 //! * the Lanczos method for `e^A v` and stochastic Lanczos quadrature (SLQ)
 //!   for `v^T e^A v` ([`lanczos`]);
 //! * Hutchinson's stochastic trace estimator with Gaussian or Rademacher
 //!   probes, a paired-probe variant for noise-cancelling *increment*
 //!   estimation, and Hutch++ ([`trace`]);
-//! * top-k eigenvalues via a randomized block Krylov method ([`topk`],
+//! * top-k eigenpairs via a randomized block Krylov method ([`topk`],
 //!   paper ref \[44\]) feeding the Lemma 3/4 connectivity bounds;
 //! * natural connectivity itself, exact and estimated ([`connectivity`]).
 
@@ -45,7 +46,7 @@ pub use connectivity::{
 pub use dense::DenseMatrix;
 pub use eig::{
     full_symmetric_eigenvalues, jacobi_eigenvalues, jacobi_symmetric_eigen,
-    sparse_symmetric_eigenvalues,
+    sparse_symmetric_eigenvalues, top_symmetric_eigenpairs,
 };
 pub use error::LinalgError;
 pub use lanczos::{
@@ -58,7 +59,8 @@ pub use matvec::{EdgeOverlay, MatVec};
 pub use rng::{gaussian_vector, probe_vector, probe_vector_in, rademacher_vector, ProbeKind};
 pub use sparse::CsrMatrix;
 pub use topk::{
-    block_krylov_topk, block_krylov_topk_warm, lanczos_topk, spectral_norm, SpectrumHead,
+    block_krylov_head, block_krylov_topk, block_krylov_topk_warm, lanczos_topk, spectral_norm,
+    SpectrumHead,
 };
 pub use trace::{hutchinson_trace_exp, hutchpp_trace_exp, PairedTraceEstimator, TraceParams};
 pub use util::logsumexp;

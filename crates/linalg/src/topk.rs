@@ -8,14 +8,17 @@
 //!   Fast, but like all single-vector Krylov methods it finds one copy of
 //!   each *distinct* eigenvalue, so repeated eigenvalues (common in graphs
 //!   with symmetric substructures) are under-counted.
-//! * [`block_krylov_topk`] — randomized block Krylov with Rayleigh–Ritz
-//!   (paper ref \[44\]). A block wider than the largest multiplicity recovers
-//!   repeated eigenvalues; this is the default used by the bound code.
+//! * [`block_krylov_head`] — randomized block Krylov with Rayleigh–Ritz
+//!   (paper ref \[44\]), returning the top values with their Ritz vectors.
+//!   A block wider than the largest multiplicity recovers repeated
+//!   eigenvalues; seeded with a previous head's vectors it re-converges in
+//!   a fraction of the Krylov columns. This is what the bound code uses;
+//!   [`block_krylov_topk`] and [`block_krylov_topk_warm`] are thin wrappers.
 
 use rand::Rng;
 
 use crate::dense::DenseMatrix;
-use crate::eig::{full_symmetric_eigenvalues, jacobi_symmetric_eigen};
+use crate::eig::top_symmetric_eigenpairs;
 use crate::error::LinalgError;
 use crate::lanczos::lanczos_tridiagonalize;
 use crate::matvec::MatVec;
@@ -25,6 +28,11 @@ use crate::vector::{normalize, orthogonalize_against};
 
 /// Columns with post-orthogonalization norm below this are discarded.
 const DEFLATION_TOL: f64 = 1e-10;
+
+/// An unseeded head takes `4·max(want, COLD_WANT_FLOOR) + 48` Krylov
+/// columns: enough slack for the trailing Ritz values to converge (Lemmas
+/// 3–4 lose admissibility when top eigenvalues are under-estimated).
+const COLD_WANT_FLOOR: usize = 96;
 
 /// Top-`k` algebraically largest eigenvalues (descending) via single-vector
 /// Lanczos with full reorthogonalization.
@@ -49,83 +57,10 @@ pub fn lanczos_topk<M: MatVec + ?Sized, R: Rng + ?Sized>(
     Ok(ritz)
 }
 
-/// Top-`k` algebraically largest eigenvalues (descending) via randomized
-/// block Krylov + Rayleigh–Ritz.
-///
-/// `block` is the block width (0 picks a default of `max(8, 4)` capped by
-/// `n`); widths at least as large as the biggest eigenvalue multiplicity
-/// recover repeated eigenvalues.
-pub fn block_krylov_topk<M: MatVec + ?Sized, R: Rng + ?Sized>(
-    a: &M,
-    k: usize,
-    block: usize,
-    rng: &mut R,
-) -> Result<Vec<f64>, LinalgError> {
-    let n = a.n();
-    if n == 0 {
-        return Err(LinalgError::EmptyInput("matrix"));
-    }
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let b = if block == 0 { 8.min(n).max(1) } else { block.min(n) };
-    // Enough Krylov columns for the Ritz values we need, plus generous slack
-    // so the trailing Ritz values converge (bound validity in Lemmas 3–4
-    // degrades if the top eigenvalues are underestimated).
-    let target_cols = (4 * k + 48).min(n);
-
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(target_cols);
-    // A·q for every accepted basis column, captured as columns are admitted
-    // so the Rayleigh–Ritz stage below needs no second matvec pass. The
-    // per-column allocations are load-bearing: each product both seeds the
-    // next Krylov block (where it is orthogonalized in place) and must
-    // survive pristine for T = Qᵀ A Q.
-    let mut aq: Vec<Vec<f64>> = Vec::with_capacity(target_cols);
-    let mut current: Vec<Vec<f64>> = (0..b).map(|_| gaussian_vector(rng, n)).collect();
-
-    while basis.len() < target_cols && !current.is_empty() {
-        let mut next_block: Vec<Vec<f64>> = Vec::with_capacity(current.len());
-        for mut col in current.drain(..) {
-            orthogonalize_against(&mut col, &basis);
-            orthogonalize_against(&mut col, &basis);
-            let nm = normalize(&mut col);
-            if nm > DEFLATION_TOL {
-                let prod = a.matvec_alloc(&col);
-                basis.push(col);
-                aq.push(prod.clone());
-                next_block.push(prod);
-                if basis.len() >= target_cols {
-                    break;
-                }
-            }
-        }
-        current = next_block;
-    }
-
-    if basis.is_empty() {
-        return Err(LinalgError::EmptyInput("Krylov basis collapsed"));
-    }
-
-    // Rayleigh–Ritz: T = Qᵀ A Q over the assembled basis.
-    let m = basis.len();
-    let mut t = DenseMatrix::zeros(m);
-    for i in 0..m {
-        for j in i..m {
-            let v: f64 = basis[i].iter().zip(&aq[j]).map(|(x, y)| x * y).sum();
-            t.set(i, j, v);
-            t.set(j, i, v);
-        }
-    }
-    let mut ritz = full_symmetric_eigenvalues(t)?;
-    ritz.reverse();
-    ritz.truncate(k);
-    Ok(ritz)
-}
-
 /// Top of a symmetric matrix's spectrum with Ritz vectors, as returned by
-/// [`block_krylov_topk_warm`]: `values` descending, `vectors[j]` the unit
-/// Ritz vector paired with `values[j]` (`vectors` may be shorter than
-/// `values` if the Krylov basis deflated early).
+/// [`block_krylov_head`]: `values` descending, `vectors[j]` the unit Ritz
+/// vector paired with `values[j]`. Both hold `min(want, m)` entries, `m`
+/// the Krylov basis size.
 #[derive(Debug, Clone, Default)]
 pub struct SpectrumHead {
     /// Top eigenvalue estimates, algebraically largest first.
@@ -134,42 +69,58 @@ pub struct SpectrumHead {
     pub vectors: Vec<Vec<f64>>,
 }
 
-/// Warm-started variant of [`block_krylov_topk`] that seeds the Krylov
-/// basis from previously converged Ritz vectors and returns the new Ritz
-/// vectors so the *next* call can warm-start in turn.
+/// The `want` algebraically largest eigenpairs (descending) via randomized
+/// block Krylov + Rayleigh–Ritz.
 ///
-/// `warm` holds the previous spectrum head's vectors (any slice, possibly
-/// empty; entries whose length differs from `n` are ignored). Because the
-/// warm vectors already span a near-invariant subspace of a slightly
-/// perturbed matrix, far fewer Krylov columns are needed than the
-/// cold-start's `4k + 48` slack: with a full warm set of `k` vectors this
-/// uses `k + 2·block + 8` columns; each *missing* warm vector buys four
-/// extra columns, so an empty `warm` degrades gracefully to cold-start-like
-/// accuracy at cold-start-like cost.
-pub fn block_krylov_topk_warm<M: MatVec + ?Sized, R: Rng + ?Sized>(
+/// `block` is the block width (0 picks a default of 8, capped by `n`);
+/// widths at least as large as the biggest eigenvalue multiplicity recover
+/// repeated eigenvalues. `seeds` are a previous head's Ritz vectors (any
+/// slice; entries whose length differs from `n` are ignored):
+///
+/// * **Without seeds** the basis starts from `block` Gaussian probes and
+///   grows to `4·max(want, 96) + 48` columns (capped by `n`). This is the
+///   historical cold start: same RNG stream, same basis, same values.
+/// * **With seeds** the basis starts from the seeds followed by the
+///   probes. They already span a near-invariant subspace of a slightly
+///   perturbed matrix, so `want + 2·block + 8` columns suffice, plus four
+///   per seed short of `want`.
+///
+/// The Rayleigh–Ritz step is [`top_symmetric_eigenpairs`] on `T = Qᵀ A Q`:
+/// its values are bit-identical to a values-only Householder + QL solve,
+/// and only the `want` kept Ritz vectors are formed.
+pub fn block_krylov_head<M: MatVec + ?Sized, R: Rng + ?Sized>(
     a: &M,
-    k: usize,
+    want: usize,
     block: usize,
-    warm: &[Vec<f64>],
+    seeds: &[Vec<f64>],
     rng: &mut R,
 ) -> Result<SpectrumHead, LinalgError> {
     let n = a.n();
     if n == 0 {
         return Err(LinalgError::EmptyInput("matrix"));
     }
-    if k == 0 {
+    if want == 0 {
         return Ok(SpectrumHead::default());
     }
     let b = if block == 0 { 8.min(n).max(1) } else { block.min(n) };
     // Seed block: previous Ritz vectors first (they deflate to the residual
     // correction directions after orthogonalization), then fresh Gaussian
-    // probes so a stale or empty warm set still explores the full space.
-    let mut current: Vec<Vec<f64>> = warm.iter().filter(|v| v.len() == n).cloned().collect();
-    let missing = k.saturating_sub(current.len());
-    let target_cols = (k + 2 * b + 8 + 4 * missing).min(n);
+    // probes so a stale seed set still explores the full space.
+    let mut current: Vec<Vec<f64>> = seeds.iter().filter(|v| v.len() == n).cloned().collect();
+    let target_cols = if current.is_empty() {
+        4 * want.max(COLD_WANT_FLOOR) + 48
+    } else {
+        want + 2 * b + 8 + 4 * want.saturating_sub(current.len())
+    }
+    .min(n);
     current.extend((0..b).map(|_| gaussian_vector(rng, n)));
 
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(target_cols);
+    // A·q for every accepted basis column, captured as columns are admitted
+    // so the Rayleigh–Ritz stage below needs no second matvec pass. The
+    // per-column allocations are load-bearing: each product both seeds the
+    // next Krylov block (where it is orthogonalized in place) and must
+    // survive pristine for T = Qᵀ A Q.
     let mut aq: Vec<Vec<f64>> = Vec::with_capacity(target_cols);
 
     while basis.len() < target_cols && !current.is_empty() {
@@ -195,8 +146,8 @@ pub fn block_krylov_topk_warm<M: MatVec + ?Sized, R: Rng + ?Sized>(
         return Err(LinalgError::EmptyInput("Krylov basis collapsed"));
     }
 
-    // Rayleigh–Ritz with vectors: T = Qᵀ A Q, eigendecomposed by Jacobi so
-    // the eigenvector matrix W is available; Ritz vector j is Q · w_j.
+    // Rayleigh–Ritz: T = Qᵀ A Q over the assembled basis; Ritz vector j is
+    // Q · w_j.
     let m = basis.len();
     let mut t = DenseMatrix::zeros(m);
     for i in 0..m {
@@ -206,23 +157,40 @@ pub fn block_krylov_topk_warm<M: MatVec + ?Sized, R: Rng + ?Sized>(
             t.set(j, i, v);
         }
     }
-    let (tvals, tvecs) = jacobi_symmetric_eigen(t, 200)?;
-    // Ascending → descending; lift the top min(k, m) vectors out of the
-    // subspace.
-    let mut values: Vec<f64> = tvals.iter().rev().copied().collect();
-    values.truncate(k);
-    let keep = k.min(m);
-    let mut vectors: Vec<Vec<f64>> = Vec::with_capacity(keep);
-    for w in tvecs.iter().rev().take(keep) {
-        let mut y = vec![0.0; n];
-        for (qi, wi) in basis.iter().zip(w) {
-            for (yj, qj) in y.iter_mut().zip(qi) {
-                *yj += wi * qj;
+    let (values, w) = top_symmetric_eigenpairs(t, want)?;
+    // Basis-major, so each basis column streams from memory once.
+    let mut vectors = vec![vec![0.0; n]; w.len()];
+    for (r, q) in basis.iter().enumerate() {
+        for (y, wp) in vectors.iter_mut().zip(&w) {
+            let coef = wp[r];
+            for (yj, qj) in y.iter_mut().zip(q) {
+                *yj += coef * qj;
             }
         }
-        vectors.push(y);
     }
     Ok(SpectrumHead { values, vectors })
+}
+
+/// Top-`k` algebraically largest eigenvalues (descending): the values of an
+/// unseeded [`block_krylov_head`].
+pub fn block_krylov_topk<M: MatVec + ?Sized, R: Rng + ?Sized>(
+    a: &M,
+    k: usize,
+    block: usize,
+    rng: &mut R,
+) -> Result<Vec<f64>, LinalgError> {
+    block_krylov_head(a, k, block, &[], rng).map(|head| head.values)
+}
+
+/// [`block_krylov_head`] seeded with `warm`, a previous head's Ritz vectors.
+pub fn block_krylov_topk_warm<M: MatVec + ?Sized, R: Rng + ?Sized>(
+    a: &M,
+    k: usize,
+    block: usize,
+    warm: &[Vec<f64>],
+    rng: &mut R,
+) -> Result<SpectrumHead, LinalgError> {
+    block_krylov_head(a, k, block, warm, rng)
 }
 
 /// Spectral norm `‖A‖₂` of a symmetric matrix (largest |eigenvalue|),
@@ -326,7 +294,7 @@ mod tests {
 
     #[test]
     fn warm_start_cold_matches_exact() {
-        // Empty warm set: still a valid (cheaper) randomized head.
+        // Empty warm set: the unseeded (cold-budget) head.
         let a = random_graph(60, 150, 77);
         let exact = sparse_symmetric_eigenvalues(&a).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
