@@ -1,5 +1,11 @@
 //! Criterion microbench behind Table 2: exact eigendecomposition vs.
 //! stochastic Lanczos quadrature vs. bound evaluation, per λ(Gr) query.
+//!
+//! The `*_s16` cases split one Δ(e) solve at `small_defaults` (s = 16
+//! probes, t = 8 steps) into its layers: `slq_trace_batched/*_s16` is the
+//! whole solve, `matvec_lanes/*_s16` one of its t lane products, and
+//! `slq_quadrature/s16` its s t×t quadratures; the rest is the Lanczos
+//! recurrence (see docs/benchmarks.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
@@ -7,7 +13,20 @@ use std::hint::black_box;
 
 use ct_core::{general_bound, path_bound, CtBusParams};
 use ct_data::CityConfig;
-use ct_linalg::{block_krylov_topk, natural_connectivity_exact, ConnectivityEstimator};
+use ct_linalg::tridiag::tridiag_eigen_first_row_in;
+use ct_linalg::{
+    block_krylov_topk, gaussian_vector, lanczos_tridiagonalize, natural_connectivity_exact,
+    ConnectivityEstimator, CsrMatrix, EdgeOverlay, LanczosWorkspace, MatVec,
+};
+
+/// The first stop pair (in row order) the network does not connect.
+fn first_absent_edge(adj: &CsrMatrix) -> (u32, u32) {
+    let n = adj.n() as u32;
+    (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .find(|&(u, v)| !adj.has_edge(u, v))
+        .expect("the network is not complete")
+}
 
 fn bench_connectivity(c: &mut Criterion) {
     let mut group = c.benchmark_group("connectivity");
@@ -28,7 +47,7 @@ fn bench_connectivity(c: &mut Criterion) {
 
         // Frozen-probe trace sweep, before/after the batched kernel: the
         // per-probe path streams the matrix once per probe per Lanczos step,
-        // the batched path once per step for all probes (bit-identical).
+        // the batched path once per step for each lane tile (bit-identical).
         group.bench_with_input(BenchmarkId::new("slq_trace_per_probe", name), &adj, |b, adj| {
             b.iter(|| est.trace_exp_unbatched(black_box(adj)).unwrap())
         });
@@ -47,6 +66,57 @@ fn bench_connectivity(c: &mut Criterion) {
             b.iter(|| path_bound(black_box(base), eigs, 30, adj.n()))
         });
     }
+
+    // One Δ(e) solve at `small_defaults`: the frozen-probe trace of the
+    // network plus one added edge, through a reused overlay and workspace —
+    // the unit both the precompute sweep and the online ETA scorer pay.
+    let small = CtBusParams::small_defaults().trace_params();
+    let mut quad_input = Vec::new();
+    for (name, cfg) in
+        [("medium", CityConfig::medium()), ("chicago_like", CityConfig::chicago_like())]
+    {
+        let adj = cfg.generate().transit.adjacency_matrix();
+        let est = ConnectivityEstimator::new(adj.n(), &small, 1);
+        let overlay = EdgeOverlay::new(&adj, &[first_absent_edge(&adj)]);
+        let mut ws = LanczosWorkspace::new();
+        let label = format!("{name}_s{}", small.probes);
+        group.bench_with_input(BenchmarkId::new("slq_trace_batched", &label), &overlay, |b, ov| {
+            b.iter(|| est.trace_exp_in(black_box(ov), &mut ws).unwrap())
+        });
+        let xs = vec![[1.0; 16]; adj.n()];
+        let mut ys = vec![[0.0; 16]; adj.n()];
+        group.bench_with_input(BenchmarkId::new("matvec_lanes", &label), &overlay, |b, ov| {
+            b.iter(|| ov.matvec_lanes(black_box(&xs), &mut ys))
+        });
+        if quad_input.is_empty() {
+            // The s tridiagonal matrices of one medium-city solve.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            quad_input = (0..small.probes)
+                .map(|_| {
+                    let v = gaussian_vector(&mut rng, adj.n());
+                    let dec =
+                        lanczos_tridiagonalize(&overlay, &v, small.lanczos_steps, false, false)
+                            .unwrap();
+                    (dec.alphas, dec.betas)
+                })
+                .collect();
+        }
+    }
+
+    // The s t×t Gauss quadratures of one solve, alone: what a solve pays
+    // after its matvecs and recurrence passes.
+    let (mut d, mut e, mut row) = (Vec::new(), Vec::new(), Vec::new());
+    let label = format!("s{}", small.probes);
+    group.bench_with_input(BenchmarkId::new("slq_quadrature", label), &quad_input, |b, tri| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for (alphas, betas) in tri {
+                tridiag_eigen_first_row_in(alphas, betas, &mut d, &mut e, &mut row).unwrap();
+                total += d.iter().zip(&row).map(|(&t, &w)| w * w * t.exp()).sum::<f64>();
+            }
+            black_box(total)
+        })
+    });
     group.finish();
 }
 

@@ -37,7 +37,7 @@ use std::time::Instant;
 use ct_data::{City, DemandModel};
 use serde::{Deserialize, Serialize};
 
-use crate::expand::{with_executor, ExpandCtx, Frontier, ModeConfig, WorkItem};
+use crate::expand::{with_executor, ExpandCtx, Frontier, ModeConfig, ScoreMemo, WorkItem};
 use crate::params::CtBusParams;
 use crate::plan::RoutePlan;
 use crate::precompute::Precomputed;
@@ -185,12 +185,28 @@ impl<'a> Planner<'a> {
 /// Runs Algorithm 1 against a *borrowed* pre-computation — the engine
 /// behind both [`Planner`] (which owns its `Precomputed`) and
 /// [`crate::PlanningSession`] (which keeps one alive across commits).
+/// A mode that scores online gets one [`ScoreMemo`] for the run; linear
+/// modes build none.
 pub(crate) fn execute_plan(
     city: &City,
     params: &CtBusParams,
     pre: &Precomputed,
     mode: PlannerMode,
     threads: usize,
+) -> RunResult {
+    let memo = mode.config().online_scoring.then(ScoreMemo::default);
+    execute_plan_with(city, params, pre, mode, threads, memo.as_ref())
+}
+
+/// [`execute_plan`] with the online-increment memo chosen by the caller
+/// (`None` solves every evaluation).
+pub(crate) fn execute_plan_with(
+    city: &City,
+    params: &CtBusParams,
+    pre: &Precomputed,
+    mode: PlannerMode,
+    threads: usize,
+    memo: Option<&ScoreMemo>,
 ) -> RunResult {
     // ctlint::allow(wall-clock): runtime_secs is reporting-only output, excluded from the bit-identity contract
     let t0 = Instant::now();
@@ -223,7 +239,7 @@ pub(crate) fn execute_plan(
         bound_list.iter_desc().filter(|&id| admissible(id)).take(params.sn).collect()
     };
 
-    let mk_ctx = || ExpandCtx::new(city, pre, params, cfg, w, &le_values, bound_list);
+    let mk_ctx = || ExpandCtx::new(city, pre, params, cfg, w, &le_values, bound_list, memo);
     let (frontier, best_plan) = with_executor(threads.max(1), &mk_ctx, |executor| {
         let mut frontier = Frontier::new(&cfg, params);
 
@@ -428,6 +444,58 @@ mod tests {
             "k=10 demand {} << k=4 demand {}",
             p10.best.demand,
             p4.best.demand
+        );
+    }
+
+    /// Every `RunResult` field except `runtime_secs` agrees.
+    fn assert_same_run(a: &RunResult, b: &RunResult, what: &str) {
+        assert_eq!(a.best, b.best, "{what}: best");
+        assert_eq!(a.trace, b.trace, "{what}: trace");
+        assert_eq!(a.iterations, b.iterations, "{what}: iterations");
+        assert_eq!(a.evaluations, b.evaluations, "{what}: evaluations");
+    }
+
+    /// Runs Eta with the memo off and on at threads {1, 2, 4}, asserting
+    /// identical results; returns the memo's final entry count and the
+    /// run's evaluation count.
+    fn memo_on_off(city: &City, params: CtBusParams) -> (usize, u64) {
+        let demand = DemandModel::from_city(city);
+        let pre = Precomputed::build(city, &demand, &params);
+        let mut sizes = Vec::new();
+        let mut evaluations = 0;
+        for threads in [1, 2, 4] {
+            let off = execute_plan_with(city, &params, &pre, PlannerMode::Eta, threads, None);
+            let memo = ScoreMemo::default();
+            let on = execute_plan_with(city, &params, &pre, PlannerMode::Eta, threads, Some(&memo));
+            assert_same_run(&off, &on, &format!("threads={threads}"));
+            sizes.push(memo.into_inner().expect("memo lock not poisoned").len());
+            evaluations = on.evaluations;
+        }
+        // Workers that race on one key both insert the same value.
+        assert!(sizes.windows(2).all(|w| w[0] == w[1]), "memo sizes {sizes:?}");
+        (sizes[0], evaluations)
+    }
+
+    #[test]
+    fn memo_never_changes_an_eta_plan_on_small() {
+        let (city, _, mut params) = planner_fixture();
+        params.sn = 40;
+        params.it_max = 150;
+        memo_on_off(&city, params);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "~7,600 SLQ solves per run; run with --release")]
+    fn memo_never_changes_an_eta_plan_on_medium() {
+        let city = CityConfig::medium().generate();
+        let mut params = CtBusParams::small_defaults();
+        params.k = 10;
+        params.sn = 300;
+        params.it_max = 600;
+        let (entries, evaluations) = memo_on_off(&city, params);
+        assert!(
+            entries as f64 <= 0.75 * evaluations as f64,
+            "{entries} memo entries for {evaluations} evaluations"
         );
     }
 

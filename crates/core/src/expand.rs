@@ -143,12 +143,23 @@ pub(crate) struct ExpandOut {
 }
 
 /// Thread-local scratch for online (SLQ) scoring: a reusable overlay of
-/// the base adjacency, a Lanczos workspace, and an edge-id buffer.
+/// the base adjacency, a Lanczos workspace, an edge-id buffer, and the
+/// memo-key buffer.
 struct OnlineScratch<'a> {
     overlay: EdgeOverlay<'a>,
     ws: LanczosWorkspace,
     edge_buf: Vec<u32>,
+    key: Vec<u32>,
 }
+
+/// One plan run's memo of online connectivity increments, shared by the
+/// driving thread's and every worker's [`ExpandCtx`]. The key is a path's
+/// canonical new-edge set — its new candidate ids, sorted and
+/// deduplicated — which fixes the stop pairs the scorer's overlay adds, so
+/// a value is a pure function of its key and the frozen probes: a hit
+/// returns the bits a fresh solve would. Entries are only looked up and
+/// inserted, never iterated, and the lock is never held across a solve.
+pub(crate) type ScoreMemo = Mutex<HashMap<Vec<u32>, f64>>;
 
 /// The per-worker expansion context: everything needed to check
 /// feasibility, extend, and score candidate paths, independent of any
@@ -171,11 +182,14 @@ pub(crate) struct ExpandCtx<'a> {
     bound_list: &'a RankedList,
     /// SLQ scratch; `Some` iff the mode scores online.
     scratch: Option<OnlineScratch<'a>>,
+    /// The plan run's shared increment memo (online modes only).
+    memo: Option<&'a ScoreMemo>,
     /// Objective evaluations performed since the last [`Self::take_evals`].
     evals: u64,
 }
 
 impl<'a> ExpandCtx<'a> {
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         city: &'a City,
         pre: &'a Precomputed,
@@ -184,13 +198,15 @@ impl<'a> ExpandCtx<'a> {
         w: f64,
         le_values: &'a [f64],
         bound_list: &'a RankedList,
+        memo: Option<&'a ScoreMemo>,
     ) -> Self {
         let scratch = cfg.online_scoring.then(|| OnlineScratch {
             overlay: EdgeOverlay::empty(&pre.base_adj),
             ws: LanczosWorkspace::new(),
             edge_buf: Vec::new(),
+            key: Vec::new(),
         });
-        ExpandCtx { city, pre, params, cfg, w, le_values, bound_list, scratch, evals: 0 }
+        ExpandCtx { city, pre, params, cfg, w, le_values, bound_list, scratch, memo, evals: 0 }
     }
 
     /// Whether candidate `id` may appear on a route under the mode.
@@ -219,20 +235,34 @@ impl<'a> ExpandCtx<'a> {
         }
     }
 
-    /// SLQ connectivity increment through the thread-local scratch.
+    /// SLQ connectivity increment through the thread-local scratch,
+    /// solved once per canonical new-edge set when the run has a memo.
     fn online_increment(&mut self, edges: &[u32]) -> f64 {
-        let pairs = self.pre.candidates.new_stop_pairs(edges);
-        if pairs.is_empty() {
+        let cands = &self.pre.candidates;
+        let s = self.scratch.as_mut().expect("online scoring has scratch");
+        s.key.clear();
+        s.key.extend(edges.iter().copied().filter(|&id| !cands.edge(id).existing));
+        if s.key.is_empty() {
             return 0.0;
         }
-        let s = self.scratch.as_mut().expect("online scoring has scratch");
-        online_increment_in(
+        s.key.sort_unstable();
+        s.key.dedup();
+        if let Some(memo) = self.memo {
+            if let Some(&hit) = memo.lock().expect("memo lock not poisoned").get(&s.key) {
+                return hit;
+            }
+        }
+        let conn = online_increment_in(
             &self.pre.estimator,
             self.pre.base_trace,
             &mut s.overlay,
             &mut s.ws,
-            &pairs,
-        )
+            &cands.new_stop_pairs(edges),
+        );
+        if let Some(memo) = self.memo {
+            memo.lock().expect("memo lock not poisoned").insert(s.key.clone(), conn);
+        }
+        conn
     }
 
     /// Drains the evaluation counter (per work item, so totals can be

@@ -15,8 +15,8 @@
 //! counter. Each worker owns one [`LanczosWorkspace`] and one reusable
 //! [`EdgeOverlay`], so the steady-state sweep performs **no** heap
 //! allocations and **no** per-candidate CSR rebuilds: a candidate is scored
-//! by streaming the base matrix once per Lanczos step for all frozen probes
-//! (blocked matvec) with the candidate edge applied on the fly.
+//! by streaming the base matrix once per Lanczos step for each lane tile of
+//! frozen probes (lane matvec) with the candidate edge applied on the fly.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

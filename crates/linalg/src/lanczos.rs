@@ -30,10 +30,10 @@
 //! of `base + candidate edges`.
 //!
 //! [`slq_trace_batch_in`] walks *many* probe vectors through one matrix in
-//! lockstep with a blocked matvec: the sparse matrix is streamed once per
-//! Lanczos step instead of once per probe per step, which is the difference
-//! between being memory-bound on the matrix and memory-bound on the (much
-//! smaller, register-blocked) probe block.
+//! fixed-width lane tiles: each tile's recurrence runs on `[f64; L]` rows
+//! with one [`MatVec::matvec_lanes`] per Lanczos step, so the sparse matrix
+//! is streamed once per step per tile instead of once per probe per step,
+//! and every per-lane loop has a compile-time length.
 
 use crate::error::LinalgError;
 use crate::matvec::MatVec;
@@ -67,30 +67,23 @@ impl LanczosDecomposition {
 /// Reusable scratch for all Lanczos-family kernels.
 ///
 /// Holds the three recurrence vectors, an optional flat Krylov-basis buffer
-/// (row-major, one basis vector per `n`-chunk), the `α`/`β` arrays, the
-/// small tridiagonal-quadrature scratch, and the per-probe state of the
-/// batched SLQ kernel. Buffers only ever grow, so a workspace reused across
-/// same-sized problems performs **zero** heap allocations after the first
-/// solve.
+/// (row-major, one basis vector per `n`-chunk), the `α`/`β` arrays and the
+/// small tridiagonal-quadrature scratch. Buffers only ever grow, so a
+/// workspace reused across same-sized problems performs **zero** heap
+/// allocations after the first solve.
 #[derive(Debug, Default, Clone)]
 pub struct LanczosWorkspace {
-    // Recurrence vectors; length n (single-vector) or n·nrhs (batched).
+    // Recurrence vectors; length n (single-vector) or at least n·L (a
+    // batched lane tile of width L).
     v: Vec<f64>,
     v_prev: Vec<f64>,
     w: Vec<f64>,
     // Flat Krylov basis (single-vector kernels only), `steps_done` rows.
     basis: Vec<f64>,
     // Tridiagonal coefficients. Single-vector: `steps_done` alphas and
-    // `steps_done - 1` betas. Batched: strided per probe (see slq batch).
+    // `steps_done - 1` betas. Batched: strided per lane of the current tile.
     alphas: Vec<f64>,
     betas: Vec<f64>,
-    // Per-probe batched state.
-    alpha_len: Vec<usize>,
-    beta_len: Vec<usize>,
-    beta_prev: Vec<f64>,
-    norms: Vec<f64>,
-    acc: Vec<f64>,
-    active: Vec<bool>,
     // Small dense scratch: quadrature buffers and expv coefficients.
     quad_d: Vec<f64>,
     quad_e: Vec<f64>,
@@ -109,7 +102,9 @@ impl LanczosWorkspace {
         Self::default()
     }
 
-    /// Number of Lanczos steps completed by the last single-vector run.
+    /// Number of Lanczos steps completed by the last single-vector run (0
+    /// after a batched [`slq_trace_batch_in`] call, which leaves no single
+    /// run behind, until the next single-vector run).
     pub fn steps(&self) -> usize {
         self.steps_done
     }
@@ -154,11 +149,11 @@ impl LanczosWorkspace {
     }
 }
 
-/// Resizes a scratch vector to `len` without touching retained contents
-/// (a no-op when the length already matches — callers guarantee every
-/// entry is written before it is read).
-fn resize_len(v: &mut Vec<f64>, len: usize) {
-    if v.len() != len {
+/// Grows a scratch vector to at least `len` entries without touching
+/// retained contents (callers write every entry they read, and slice the
+/// prefix they use, so switching tile widths never reallocates or memsets).
+fn grow_to(v: &mut Vec<f64>, len: usize) {
+    if v.len() < len {
         v.resize(len, 0.0);
     }
 }
@@ -360,16 +355,26 @@ pub fn slq_quadratic_form_in<M: MatVec + ?Sized>(
 
 /// Batched stochastic Lanczos quadrature: walks `nrhs` probe vectors
 /// (interleaved node-major in `probes`, `probes[i*nrhs + j]` = entry `i` of
-/// probe `j`) through `A` in lockstep and returns
-/// `Σ_j ‖p_j‖² · (e^{T_j})₁₁` — i.e. the *sum* of the per-probe quadratic
-/// forms `p_jᵀ e^A p_j` (the caller divides by the probe count).
+/// probe `j`) through `A` and returns `Σ_j ‖p_j‖² · (e^{T_j})₁₁` — i.e. the
+/// *sum* of the per-probe quadratic forms `p_jᵀ e^A p_j` (the caller
+/// divides by the probe count).
 ///
-/// One blocked matvec per Lanczos step streams the matrix once for all
-/// probes. Per probe, every floating-point operation happens in the same
-/// order as a scalar [`slq_quadratic_form`] call, and probes are summed in
-/// index order — the result is **bit-identical** to the sequential loop.
-/// Probes that hit a happy breakdown are retired individually; their
-/// columns keep flowing through the blocked product as dead lanes.
+/// Probes are taken in fixed-width lane tiles (16 wide, then 8/4/2/1 for
+/// the remainder). A tile holds its recurrence vectors as `[f64; L]` rows
+/// and its `α`, `β` and `1/β` values in lane arrays, runs its own `steps`
+/// Lanczos steps with one [`MatVec::matvec_lanes`] per step, and adds its
+/// quadratures to the total before the next tile starts. Per probe, every
+/// floating-point operation happens in the same order as a scalar
+/// [`slq_quadratic_form`] call — accumulators start at `0.0`, vectors are
+/// scaled by the reciprocals `1/‖p‖` and `1/β`, no fused multiply-add —
+/// and probes are summed in index order, so the result is
+/// **bit-identical** to the sequential loop. A probe that hits a happy
+/// breakdown retires its lane; the lane is zeroed and the tile runs on
+/// until every lane has retired or `steps` is reached.
+///
+/// The call leaves no single-vector run behind: afterwards
+/// [`LanczosWorkspace::steps`] is 0 and the coefficient accessors are
+/// empty.
 pub fn slq_trace_batch_in<M: MatVec + ?Sized>(
     a: &M,
     probes: &[f64],
@@ -387,141 +392,146 @@ pub fn slq_trace_batch_in<M: MatVec + ?Sized>(
     if probes.len() != n * nrhs {
         return Err(LinalgError::DimensionMismatch { expected: n * nrhs, actual: probes.len() });
     }
-    let s = nrhs;
+    ws.steps_done = 0;
+    ws.initial_norm = 0.0;
     let cap = steps.min(n);
-
-    // Resize batch state. The big buffers are length-only (every entry is
-    // written before it is read — `v_prev` only feeds the β_prev term,
-    // which step 0 skips, and `alphas`/`betas` are gated by the per-lane
-    // lengths), so a warm same-shape workspace does no memsets and no
-    // allocations here, just the probe copy.
-    ws.n = n;
-    if ws.v.len() == probes.len() {
-        ws.v.copy_from_slice(probes);
-    } else {
-        ws.v.clear();
-        ws.v.extend_from_slice(probes);
+    let mut total = 0.0;
+    let mut j0 = 0;
+    while j0 < nrhs {
+        let (p, t) = (&probes[j0..], &mut total);
+        j0 += match nrhs - j0 {
+            16.. => slq_tile::<M, 16>(a, p, nrhs, cap, ws, t)?,
+            8.. => slq_tile::<M, 8>(a, p, nrhs, cap, ws, t)?,
+            4.. => slq_tile::<M, 4>(a, p, nrhs, cap, ws, t)?,
+            2.. => slq_tile::<M, 2>(a, p, nrhs, cap, ws, t)?,
+            _ => slq_tile::<M, 1>(a, p, nrhs, cap, ws, t)?,
+        };
     }
-    resize_len(&mut ws.v_prev, n * s);
-    resize_len(&mut ws.w, n * s);
-    resize_len(&mut ws.alphas, s * cap);
-    resize_len(&mut ws.betas, s * cap);
-    resize_len(&mut ws.beta_prev, s);
-    resize_len(&mut ws.acc, 2 * s);
-    ws.alpha_len.clear();
-    ws.alpha_len.resize(s, 0);
-    ws.beta_len.clear();
-    ws.beta_len.resize(s, 0);
-    ws.norms.clear();
-    ws.norms.resize(s, 0.0);
-    ws.active.clear();
-    ws.active.resize(s, true);
+    Ok(total)
+}
 
-    // ‖p_j‖ with the same left-fold accumulation order as `norm`.
-    for row in ws.v.chunks_exact(s) {
-        for (aj, &x) in ws.norms.iter_mut().zip(row) {
-            *aj += x * x;
+/// One lane tile of [`slq_trace_batch_in`]: the `L` probes whose entry `i`
+/// is `probes[i*nrhs .. i*nrhs + L]`, each run for up to `cap` steps. Adds
+/// `‖p‖² · (e^T)₁₁` of each lane to `total` in lane order; returns `L`.
+fn slq_tile<M: MatVec + ?Sized, const L: usize>(
+    a: &M,
+    probes: &[f64],
+    nrhs: usize,
+    cap: usize,
+    ws: &mut LanczosWorkspace,
+    total: &mut f64,
+) -> Result<usize, LinalgError> {
+    let n = a.n();
+    for buf in [&mut ws.v, &mut ws.v_prev, &mut ws.w] {
+        grow_to(buf, n * L);
+    }
+    grow_to(&mut ws.alphas, L * cap);
+    grow_to(&mut ws.betas, L * cap);
+    let mut v = ws.v[..n * L].as_chunks_mut::<L>().0;
+    let mut v_prev = ws.v_prev[..n * L].as_chunks_mut::<L>().0;
+    let w = ws.w[..n * L].as_chunks_mut::<L>().0;
+
+    // Gather the tile into `w` and take ‖p_l‖ in `norm`'s left-fold order.
+    let mut nrm = [0.0; L];
+    for (i, row) in w.iter_mut().enumerate() {
+        row.copy_from_slice(&probes[i * nrhs..i * nrhs + L]);
+        for l in 0..L {
+            nrm[l] += row[l] * row[l];
         }
     }
-    for nj in ws.norms.iter_mut() {
-        *nj = nj.sqrt();
-        if *nj == 0.0 {
+    let mut inv = [0.0; L];
+    for l in 0..L {
+        nrm[l] = nrm[l].sqrt();
+        if nrm[l] == 0.0 {
             return Err(LinalgError::EmptyInput("start vector is zero"));
         }
+        inv[l] = 1.0 / nrm[l];
     }
-    for row in ws.v.chunks_exact_mut(s) {
-        for (x, &nj) in row.iter_mut().zip(&ws.norms) {
-            *x *= 1.0 / nj;
-        }
-    }
+    scaled_copy(v, w, &inv);
 
-    let mut live = s;
+    // α's recorded per lane (its β's number one fewer).
+    let mut len = [0usize; L];
+    let mut live = [true; L];
+    let mut beta_prev = [0.0; L];
     for step in 0..cap {
-        a.matvec_block(&ws.v, &mut ws.w, s);
-        let (alpha_acc, beta_acc) = ws.acc.split_at_mut(s);
-        alpha_acc.fill(0.0);
+        a.matvec_lanes(v, w);
+        // α = ⟨w, v⟩ after w -= β_prev · v_prev (skipped on step 0; every
+        // live lane has β_prev ≠ 0 after it — the scalar kernel's
+        // conditional axpy). Rows are copied into locals before they are
+        // updated so the lane loops vectorize: the three buffers are not
+        // provably disjoint.
+        let mut alpha = [0.0; L];
         if step > 0 {
-            // Fused: w_j -= β_prev_j · v_prev_j, then α_j += w_j ⊙ v_j.
-            // Each element's final value and each lane's row-order
-            // accumulation match the scalar kernel's separate axpy + dot
-            // passes exactly. Retired probes carry stale β_prev into dead
-            // lanes; live probes always have β_prev ≠ 0 here, matching the
-            // scalar kernel's conditional axpy.
-            for ((wrow, vrow), prow) in
-                ws.w.chunks_exact_mut(s).zip(ws.v.chunks_exact(s)).zip(ws.v_prev.chunks_exact(s))
-            {
-                for (((wj, &vj), &pj), (aj, &bj)) in wrow
-                    .iter_mut()
-                    .zip(vrow)
-                    .zip(prow)
-                    .zip(alpha_acc.iter_mut().zip(ws.beta_prev.iter()))
-                {
-                    *wj -= bj * pj;
-                    *aj += *wj * vj;
+            for ((wr, vr), pr) in w.iter_mut().zip(v.iter()).zip(v_prev.iter()) {
+                let (mut x, vr, pr) = (*wr, *vr, *pr);
+                for l in 0..L {
+                    x[l] -= beta_prev[l] * pr[l];
+                    alpha[l] += x[l] * vr[l];
                 }
+                *wr = x;
             }
         } else {
-            // α_j = ⟨w_j, v_j⟩ (no β_prev term on the first step).
-            for (wrow, vrow) in ws.w.chunks_exact(s).zip(ws.v.chunks_exact(s)) {
-                for ((aj, &wj), &vj) in alpha_acc.iter_mut().zip(wrow).zip(vrow) {
-                    *aj += wj * vj;
+            for (wr, vr) in w.iter().zip(v.iter()) {
+                let (wr, vr) = (*wr, *vr);
+                for l in 0..L {
+                    alpha[l] += wr[l] * vr[l];
                 }
             }
         }
-        // w_j -= α_j · v_j, then β_j = ‖w_j‖.
-        beta_acc.fill(0.0);
-        for (wrow, vrow) in ws.w.chunks_exact_mut(s).zip(ws.v.chunks_exact(s)) {
-            for (((wj, &vj), &aj), bj) in
-                wrow.iter_mut().zip(vrow).zip(alpha_acc.iter()).zip(beta_acc.iter_mut())
-            {
-                *wj -= aj * vj;
-                *bj += *wj * *wj;
+        // w -= α · v, then β² = ⟨w, w⟩.
+        let mut beta = [0.0; L];
+        for (wr, vr) in w.iter_mut().zip(v.iter()) {
+            let (mut x, vr) = (*wr, *vr);
+            for l in 0..L {
+                x[l] -= alpha[l] * vr[l];
+                beta[l] += x[l] * x[l];
             }
+            *wr = x;
         }
-        for j in 0..s {
-            if ws.active[j] {
-                ws.alphas[j * cap + ws.alpha_len[j]] = alpha_acc[j];
-                ws.alpha_len[j] += 1;
-            }
+        for l in (0..L).filter(|&l| live[l]) {
+            ws.alphas[l * cap + len[l]] = alpha[l];
+            len[l] += 1;
         }
         if step + 1 == cap {
             break;
         }
-        for j in 0..s {
-            if !ws.active[j] {
+        for l in 0..L {
+            beta[l] = beta[l].sqrt();
+            inv[l] = 0.0;
+            if !live[l] {
                 continue;
             }
-            let beta = beta_acc[j].sqrt();
-            if beta <= BREAKDOWN_TOL * (1.0 + alpha_acc[j].abs()) {
-                ws.active[j] = false; // happy breakdown: retire this lane
-                live -= 1;
+            if beta[l] <= BREAKDOWN_TOL * (1.0 + alpha[l].abs()) {
+                live[l] = false; // happy breakdown: retire (and zero) the lane
             } else {
-                ws.betas[j * cap + ws.beta_len[j]] = beta;
-                ws.beta_len[j] += 1;
-                ws.beta_prev[j] = beta;
-                beta_acc[j] = 1.0 / beta;
+                ws.betas[l * cap + len[l] - 1] = beta[l];
+                beta_prev[l] = beta[l];
+                inv[l] = 1.0 / beta[l];
             }
         }
-        if live == 0 {
+        if !live.contains(&true) {
             break;
         }
-        // v_prev ← v; v ← w / β (same scale factor 1/β as `normalize`).
-        std::mem::swap(&mut ws.v_prev, &mut ws.v);
-        for (vrow, wrow) in ws.v.chunks_exact_mut(s).zip(ws.w.chunks_exact(s)) {
-            for ((vj, &wj), &inv) in vrow.iter_mut().zip(wrow).zip(beta_acc.iter()) {
-                *vj = wj * inv;
-            }
-        }
+        // v_prev ← v; v ← w / β.
+        std::mem::swap(&mut v, &mut v_prev);
+        scaled_copy(v, w, &inv);
     }
 
-    // Per-probe Gauss quadrature, summed in probe order.
-    let mut total = 0.0;
-    for j in 0..s {
-        let (a_len, b_len) = (ws.alpha_len[j], ws.beta_len[j]);
-        let quad = quadrature_in(ws, j * cap, a_len, b_len)?;
-        total += ws.norms[j] * ws.norms[j] * quad;
+    // Per-lane Gauss quadrature, summed in probe order.
+    for l in 0..L {
+        let quad = quadrature_in(ws, l * cap, len[l], len[l].saturating_sub(1))?;
+        *total += nrm[l] * nrm[l] * quad;
     }
-    Ok(total)
+    Ok(L)
+}
+
+/// `dst[i][l] = src[i][l] · s[l]` for every row.
+fn scaled_copy<const L: usize>(dst: &mut [[f64; L]], src: &[[f64; L]], s: &[f64; L]) {
+    for (d, x) in dst.iter_mut().zip(src) {
+        for l in 0..L {
+            d[l] = x[l] * s[l];
+        }
+    }
 }
 
 /// Column `j` of `e^A`, i.e. `e^A e_j`, via Lanczos from the unit vector.
@@ -571,6 +581,7 @@ pub fn expm_column_in<M: MatVec + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matvec::EdgeOverlay;
     use crate::rng::gaussian_vector;
     use crate::sparse::CsrMatrix;
     use rand::rngs::StdRng;
@@ -653,26 +664,68 @@ mod tests {
         }
     }
 
+    /// The 4-regular circulant C16(1, 5): row 8's base columns are
+    /// {3, 7, 9, 13}, and the all-ones vector is an eigenvector.
+    fn circulant16() -> CsrMatrix {
+        let edges: Vec<(u32, u32)> =
+            (0..16).flat_map(|i| [(i, (i + 1) % 16), (i, (i + 5) % 16)]).collect();
+        CsrMatrix::from_undirected_edges(16, &edges)
+    }
+
+    /// Interleaves probe-major vectors node-major (`flat[i*s + j]`).
+    fn interleave(probes: &[Vec<f64>]) -> Vec<f64> {
+        let s = probes.len();
+        let mut flat = vec![0.0; probes[0].len() * s];
+        for (j, p) in probes.iter().enumerate() {
+            for (i, &x) in p.iter().enumerate() {
+                flat[i * s + j] = x;
+            }
+        }
+        flat
+    }
+
+    /// The batched sum over `a` equals the per-probe `slq_quadratic_form`
+    /// sum over `oracle` (the same matrix, possibly materialized) bit for
+    /// bit.
+    fn assert_batch_matches<M: MatVec, O: MatVec>(
+        a: &M,
+        oracle: &O,
+        probes: &[Vec<f64>],
+        steps: usize,
+    ) {
+        let mut ws = LanczosWorkspace::new();
+        let batched =
+            slq_trace_batch_in(a, &interleave(probes), probes.len(), steps, &mut ws).unwrap();
+        let sequential: f64 =
+            probes.iter().map(|p| slq_quadratic_form(oracle, p, steps).unwrap()).sum();
+        assert_eq!(batched.to_bits(), sequential.to_bits(), "s={} steps={steps}", probes.len());
+    }
+
     #[test]
     fn batched_slq_matches_sequential_sum() {
         let a = petersen();
-        let n = 10;
-        let s = 13;
         let mut rng = StdRng::seed_from_u64(41);
-        let probes: Vec<Vec<f64>> = (0..s).map(|_| gaussian_vector(&mut rng, n)).collect();
-        // Interleave node-major.
-        let mut flat = vec![0.0; n * s];
-        for (j, p) in probes.iter().enumerate() {
-            for i in 0..n {
-                flat[i * s + j] = p[i];
-            }
-        }
+        let probes: Vec<Vec<f64>> = (0..13).map(|_| gaussian_vector(&mut rng, 10)).collect();
         for steps in [1, 3, 10, 25] {
-            let mut ws = LanczosWorkspace::new();
-            let batched = slq_trace_batch_in(&a, &flat, s, steps, &mut ws).unwrap();
-            let sequential: f64 =
-                probes.iter().map(|p| slq_quadratic_form(&a, p, steps).unwrap()).sum();
-            assert_eq!(batched.to_bits(), sequential.to_bits(), "steps={steps}");
+            assert_batch_matches(&a, &a, &probes, steps);
+        }
+    }
+
+    #[test]
+    fn batched_slq_every_tile_shape_is_bit_identical() {
+        // Probe counts 1..=20 and 50 hit every full tile (16/8/4/2/1) and
+        // every remainder the dispatcher builds. The overlay's added edges
+        // land before (0), between (5, 11) and after (15) row 8's base
+        // columns {3, 7, 9, 13}.
+        let a = circulant16();
+        let added = [(8, 0), (8, 5), (11, 8), (8, 15)];
+        let overlay = EdgeOverlay::new(&a, &added);
+        let materialized = a.with_added_unit_edges(&added);
+        let mut rng = StdRng::seed_from_u64(29);
+        for s in (1..=20).chain([50]) {
+            let probes: Vec<Vec<f64>> = (0..s).map(|_| gaussian_vector(&mut rng, 16)).collect();
+            assert_batch_matches(&a, &a, &probes, 8);
+            assert_batch_matches(&overlay, &materialized, &probes, 8);
         }
     }
 
@@ -680,18 +733,50 @@ mod tests {
     fn batched_slq_handles_breakdown_lanes() {
         // K_2 with an eigenvector probe breaks down at step 1; mixing it
         // with generic probes must retire only that lane.
-        let a = CsrMatrix::from_undirected_edges(2, &[(0, 1)]);
-        let probes = [vec![1.0, 1.0], vec![0.3, -0.9]];
-        let mut flat = vec![0.0; 4];
-        for (j, p) in probes.iter().enumerate() {
-            for i in 0..2 {
-                flat[i * 2 + j] = p[i];
+        let k2 = CsrMatrix::from_undirected_edges(2, &[(0, 1)]);
+        assert_batch_matches(&k2, &k2, &[vec![1.0, 1.0], vec![0.3, -0.9]], 10);
+
+        // An all-ones probe on the regular circulant retires at step 0.
+        // Put it at every position of every tile shape: first, mid-tile
+        // and last in its tile.
+        let a = circulant16();
+        let mut rng = StdRng::seed_from_u64(37);
+        for s in [2, 3, 4, 7, 8, 16, 19] {
+            let generic: Vec<Vec<f64>> = (0..s).map(|_| gaussian_vector(&mut rng, 16)).collect();
+            for r in 0..s {
+                let mut probes = generic.clone();
+                probes[r] = vec![0.5 + r as f64; 16];
+                assert_batch_matches(&a, &a, &probes, 12);
             }
         }
+        // A tile whose every lane retires stops early.
+        let ones: Vec<Vec<f64>> = (1..=3).map(|c| vec![c as f64; 16]).collect();
+        assert_batch_matches(&a, &a, &ones, 12);
+    }
+
+    #[test]
+    fn batched_call_clears_single_run_accessors() {
+        // A ring with irregular chords: 10 steps run without breakdown.
+        let edges: Vec<(u32, u32)> =
+            (0..24).flat_map(|i| [(i, (i + 1) % 24), (i, (3 * i + 7) % 24)]).collect();
+        let a = CsrMatrix::from_undirected_edges(24, &edges);
+        let mut rng = StdRng::seed_from_u64(43);
+        let v = gaussian_vector(&mut rng, 24);
         let mut ws = LanczosWorkspace::new();
-        let batched = slq_trace_batch_in(&a, &flat, 2, 10, &mut ws).unwrap();
-        let sequential: f64 = probes.iter().map(|p| slq_quadratic_form(&a, p, 10).unwrap()).sum();
-        assert_eq!(batched.to_bits(), sequential.to_bits());
+        lanczos_tridiagonalize_in(&a, &v, 10, false, false, &mut ws).unwrap();
+        assert_eq!(ws.steps(), 10);
+        let probes: Vec<Vec<f64>> = (0..2).map(|_| gaussian_vector(&mut rng, 24)).collect();
+        slq_trace_batch_in(&a, &interleave(&probes), 2, 8, &mut ws).unwrap();
+        assert_eq!(ws.steps(), 0);
+        assert!(ws.alphas().is_empty());
+        assert!(ws.betas().is_empty());
+        assert_eq!(ws.initial_norm(), 0.0);
+        assert_eq!(ws.basis_rows().count(), 0);
+        // The next single-vector run reads back its own coefficients.
+        lanczos_tridiagonalize_in(&a, &v, 10, false, false, &mut ws).unwrap();
+        let fresh = lanczos_tridiagonalize(&a, &v, 10, false, false).unwrap();
+        assert_eq!(ws.alphas(), fresh.alphas.as_slice());
+        assert_eq!(ws.betas(), fresh.betas.as_slice());
     }
 
     #[test]

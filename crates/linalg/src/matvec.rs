@@ -19,11 +19,11 @@ use crate::sparse::CsrMatrix;
 
 /// A symmetric linear operator exposing matrix–vector products.
 ///
-/// The blocked variant [`MatVec::matvec_block`] streams the operator once
-/// for `nrhs` right-hand sides held in *interleaved* (node-major) storage:
-/// `xs[i * nrhs + j]` is entry `i` of vector `j`. For memory-bound sparse
-/// operators this is the difference between reading the matrix `nrhs` times
-/// and reading it once per Lanczos step.
+/// The lane variant [`MatVec::matvec_lanes`] streams the operator once for
+/// `L` right-hand sides held as `[f64; L]` rows (`xs[i][l]` is entry `i` of
+/// vector `l`): the batched SLQ kernel walks its probes in such lane tiles,
+/// reading the matrix once per Lanczos step per tile instead of once per
+/// probe.
 pub trait MatVec {
     /// Operator dimension `n`.
     fn n(&self) -> usize;
@@ -31,32 +31,13 @@ pub trait MatVec {
     /// `y = A x`.
     fn matvec(&self, x: &[f64], y: &mut [f64]);
 
-    /// Blocked multi-RHS product over interleaved storage: for each of the
-    /// `nrhs` vectors `j`, `ys[i*nrhs + j] = Σ_c A[i,c] · xs[c*nrhs + j]`.
+    /// Fixed-width multi-RHS product over lane rows: for each lane `l`,
+    /// `ys[i][l] = Σ_c A[i,c] · xs[c][l]`.
     ///
-    /// Per right-hand side this performs the same additions in the same
-    /// order as [`MatVec::matvec`], so results are bit-identical to `nrhs`
-    /// scalar products. The default implementation simply loops row-wise;
-    /// implementors only need to override it if they can do better than
-    /// the generic row stream.
-    fn matvec_block(&self, xs: &[f64], ys: &mut [f64], nrhs: usize) {
-        let n = self.n();
-        assert_eq!(xs.len(), n * nrhs, "matvec_block: xs length");
-        assert_eq!(ys.len(), n * nrhs, "matvec_block: ys length");
-        // Generic fallback: de-interleave one RHS at a time. Implementors
-        // with random row access (both ours) override with a single stream.
-        let mut x = vec![0.0; n];
-        let mut y = vec![0.0; n];
-        for j in 0..nrhs {
-            for i in 0..n {
-                x[i] = xs[i * nrhs + j];
-            }
-            self.matvec(&x, &mut y);
-            for i in 0..n {
-                ys[i * nrhs + j] = y[i];
-            }
-        }
-    }
+    /// Per lane this performs the same additions in the same order as
+    /// [`MatVec::matvec`], so results are bit-identical to `L` scalar
+    /// products.
+    fn matvec_lanes<const L: usize>(&self, xs: &[[f64; L]], ys: &mut [[f64; L]]);
 
     /// Convenience allocating product (not for hot paths).
     fn matvec_alloc(&self, x: &[f64]) -> Vec<f64> {
@@ -75,8 +56,8 @@ impl MatVec for CsrMatrix {
         CsrMatrix::matvec(self, x, y);
     }
 
-    fn matvec_block(&self, xs: &[f64], ys: &mut [f64], nrhs: usize) {
-        CsrMatrix::matvec_block(self, xs, ys, nrhs);
+    fn matvec_lanes<const L: usize>(&self, xs: &[[f64; L]], ys: &mut [[f64; L]]) {
+        lanes_product(self, &[], xs, ys);
     }
 }
 
@@ -89,8 +70,54 @@ impl<M: MatVec + ?Sized> MatVec for &M {
         (**self).matvec(x, y);
     }
 
-    fn matvec_block(&self, xs: &[f64], ys: &mut [f64], nrhs: usize) {
-        (**self).matvec_block(xs, ys, nrhs);
+    fn matvec_lanes<const L: usize>(&self, xs: &[[f64; L]], ys: &mut [[f64; L]]) {
+        (**self).matvec_lanes(xs, ys);
+    }
+}
+
+/// `ys = (base + E) xs` over lane rows, where `entries` are the sorted
+/// directed `(row, col)` pairs of the unit entries of `E` (empty for a
+/// plain CSR product). Each row accumulates from `0.0` in sorted column
+/// order, folding an added entry in exactly where a materialized matrix
+/// would store it — the summation order of [`CsrMatrix::matvec`] on
+/// `base.with_added_unit_edges(…)`.
+fn lanes_product<const L: usize>(
+    base: &CsrMatrix,
+    entries: &[(u32, u32)],
+    xs: &[[f64; L]],
+    ys: &mut [[f64; L]],
+) {
+    let n = base.n();
+    assert_eq!(xs.len(), n, "matvec: x rows");
+    assert_eq!(ys.len(), n, "matvec: y rows");
+    let mut rest = entries;
+    for (i, y) in ys.iter_mut().enumerate() {
+        // Entries are sorted by row, so this row's are a prefix of `rest`.
+        let (ov, tail) = rest.split_at(rest.iter().take_while(|e| e.0 as usize == i).count());
+        rest = tail;
+        let (cols, vals) = base.row_entries(i);
+        let mut acc = [0.0; L];
+        let mut p = 0;
+        for (&c, &v) in cols.iter().zip(vals) {
+            while p < ov.len() && ov[p].1 < c {
+                let x = &xs[ov[p].1 as usize];
+                for l in 0..L {
+                    acc[l] += x[l];
+                }
+                p += 1;
+            }
+            let x = &xs[c as usize];
+            for l in 0..L {
+                acc[l] += v * x[l];
+            }
+        }
+        for &(_, c) in &ov[p..] {
+            let x = &xs[c as usize];
+            for l in 0..L {
+                acc[l] += x[l];
+            }
+        }
+        *y = acc;
     }
 }
 
@@ -160,64 +187,6 @@ impl<'a> EdgeOverlay<'a> {
             self.entries.iter().filter(|&&(u, v)| u < v).copied().collect();
         self.base.with_added_unit_edges(&undirected)
     }
-
-    /// Row sum for row `i`, merging base entries with the overlay entries
-    /// `ov` (the `(row, col)` pairs of this row, possibly empty) in sorted
-    /// column order — the materialized matrix's exact summation order.
-    #[inline]
-    fn row_dot(&self, i: usize, ov: &[(u32, u32)], x: &[f64]) -> f64 {
-        let (cols, vals) = self.base.row_entries(i);
-        let mut acc = 0.0;
-        let mut p = 0;
-        for (k, &c) in cols.iter().enumerate() {
-            while p < ov.len() && ov[p].1 < c {
-                acc += x[ov[p].1 as usize];
-                p += 1;
-            }
-            acc += vals[k] * x[c as usize];
-        }
-        for &(_, c) in &ov[p..] {
-            acc += x[c as usize];
-        }
-        acc
-    }
-
-    /// Blocked-row counterpart of [`EdgeOverlay::row_dot`]: accumulates the
-    /// merged row into `yrow` for all `nrhs` interleaved right-hand sides.
-    #[inline]
-    fn row_dot_block(
-        &self,
-        i: usize,
-        ov: &[(u32, u32)],
-        xs: &[f64],
-        yrow: &mut [f64],
-        nrhs: usize,
-    ) {
-        let (cols, vals) = self.base.row_entries(i);
-        yrow.fill(0.0);
-        let mut p = 0;
-        for (k, &c) in cols.iter().enumerate() {
-            while p < ov.len() && ov[p].1 < c {
-                let oc = ov[p].1 as usize;
-                let xrow = &xs[oc * nrhs..(oc + 1) * nrhs];
-                for (yj, xj) in yrow.iter_mut().zip(xrow) {
-                    *yj += xj;
-                }
-                p += 1;
-            }
-            let v = vals[k];
-            let xrow = &xs[c as usize * nrhs..(c as usize + 1) * nrhs];
-            for (yj, xj) in yrow.iter_mut().zip(xrow) {
-                *yj += v * xj;
-            }
-        }
-        for &(_, oc) in &ov[p..] {
-            let xrow = &xs[oc as usize * nrhs..(oc as usize + 1) * nrhs];
-            for (yj, xj) in yrow.iter_mut().zip(xrow) {
-                *yj += xj;
-            }
-        }
-    }
 }
 
 impl MatVec for EdgeOverlay<'_> {
@@ -226,33 +195,11 @@ impl MatVec for EdgeOverlay<'_> {
     }
 
     fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        let n = self.base.n();
-        assert_eq!(x.len(), n, "matvec: x length");
-        assert_eq!(y.len(), n, "matvec: y length");
-        let mut p = 0;
-        for i in 0..n {
-            // Overlay entries are sorted by row, so a single cursor suffices.
-            let start = p;
-            while p < self.entries.len() && self.entries[p].0 as usize == i {
-                p += 1;
-            }
-            y[i] = self.row_dot(i, &self.entries[start..p], x);
-        }
+        lanes_product::<1>(self.base, &self.entries, x.as_chunks().0, y.as_chunks_mut().0);
     }
 
-    fn matvec_block(&self, xs: &[f64], ys: &mut [f64], nrhs: usize) {
-        let n = self.base.n();
-        assert_eq!(xs.len(), n * nrhs, "matvec_block: xs length");
-        assert_eq!(ys.len(), n * nrhs, "matvec_block: ys length");
-        let mut p = 0;
-        for i in 0..n {
-            let start = p;
-            while p < self.entries.len() && self.entries[p].0 as usize == i {
-                p += 1;
-            }
-            let yrow = &mut ys[i * nrhs..(i + 1) * nrhs];
-            self.row_dot_block(i, &self.entries[start..p], xs, yrow, nrhs);
-        }
+    fn matvec_lanes<const L: usize>(&self, xs: &[[f64; L]], ys: &mut [[f64; L]]) {
+        lanes_product(self.base, &self.entries, xs, ys);
     }
 }
 
@@ -308,43 +255,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn overlay_block_matches_scalar_columns() {
-        let a = random_graph(30, 70, 5);
-        let adds = absent_edges(&a, 3);
-        let overlay = EdgeOverlay::new(&a, &adds);
-        let n = 30;
-        let s = 7;
-        let mut rng = StdRng::seed_from_u64(1);
-        let xs: Vec<f64> = (0..n * s).map(|_| rng.gen::<f64>() - 0.5).collect();
-        let mut ys = vec![0.0; n * s];
-        overlay.matvec_block(&xs, &mut ys, s);
-        for j in 0..s {
-            let x: Vec<f64> = (0..n).map(|i| xs[i * s + j]).collect();
-            let mut y = vec![0.0; n];
-            overlay.matvec(&x, &mut y);
+    /// `matvec_lanes::<L>` against `L` scalar products, bit for bit.
+    fn check_lanes<const L: usize>(m: &impl MatVec, seed: u64) {
+        let n = m.n();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<[f64; L]> =
+            (0..n).map(|_| std::array::from_fn(|_| rng.gen::<f64>() - 0.5)).collect();
+        let mut ys = vec![[0.0; L]; n];
+        m.matvec_lanes(&xs, &mut ys);
+        for l in 0..L {
+            let x: Vec<f64> = xs.iter().map(|row| row[l]).collect();
+            let y = m.matvec_alloc(&x);
             for i in 0..n {
-                assert_eq!(ys[i * s + j], y[i], "rhs {j} row {i}");
+                assert_eq!(ys[i][l].to_bits(), y[i].to_bits(), "L={L} lane {l} row {i}");
             }
         }
     }
 
+    fn check_all_widths(m: &impl MatVec) {
+        check_lanes::<1>(m, 1);
+        check_lanes::<2>(m, 2);
+        check_lanes::<4>(m, 3);
+        check_lanes::<8>(m, 4);
+        check_lanes::<16>(m, 5);
+    }
+
+    #[test]
+    fn overlay_block_matches_scalar_columns() {
+        let a = random_graph(30, 70, 5);
+        let adds = absent_edges(&a, 3);
+        check_all_widths(&EdgeOverlay::new(&a, &adds));
+    }
+
     #[test]
     fn csr_block_matches_scalar_columns() {
-        let a = random_graph(40, 90, 8);
-        let n = 40;
-        let s = 5;
-        let mut rng = StdRng::seed_from_u64(2);
-        let xs: Vec<f64> = (0..n * s).map(|_| rng.gen::<f64>() - 0.5).collect();
-        let mut ys = vec![0.0; n * s];
-        MatVec::matvec_block(&a, &xs, &mut ys, s);
-        for j in 0..s {
-            let x: Vec<f64> = (0..n).map(|i| xs[i * s + j]).collect();
-            let y = a.matvec_alloc(&x);
-            for i in 0..n {
-                assert_eq!(ys[i * s + j], y[i], "rhs {j} row {i}");
-            }
-        }
+        check_all_widths(&random_graph(40, 90, 8));
     }
 
     #[test]

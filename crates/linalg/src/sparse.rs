@@ -207,34 +207,6 @@ impl CsrMatrix {
         y
     }
 
-    /// Blocked multi-RHS product over interleaved (node-major) storage:
-    /// `ys[i*nrhs + j] = Σ_k A[i, c_k] · xs[c_k*nrhs + j]`.
-    ///
-    /// Streams the CSR arrays once for all `nrhs` right-hand sides; the
-    /// per-RHS accumulation order matches [`CsrMatrix::matvec`] exactly, so
-    /// the results are bit-identical to `nrhs` scalar products.
-    ///
-    /// # Panics
-    /// Panics if `xs` or `ys` have length different from `n * nrhs`.
-    pub fn matvec_block(&self, xs: &[f64], ys: &mut [f64], nrhs: usize) {
-        assert_eq!(xs.len(), self.n * nrhs, "matvec_block: xs length");
-        assert_eq!(ys.len(), self.n * nrhs, "matvec_block: ys length");
-        for i in 0..self.n {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let yrow = &mut ys[i * nrhs..(i + 1) * nrhs];
-            yrow.fill(0.0);
-            for k in lo..hi {
-                let v = self.vals[k];
-                let c = self.col_idx[k] as usize;
-                let xrow = &xs[c * nrhs..(c + 1) * nrhs];
-                for (yj, xj) in yrow.iter_mut().zip(xrow) {
-                    *yj += v * xj;
-                }
-            }
-        }
-    }
-
     /// Dense copy (for exact eigendecomposition of small matrices).
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.n);

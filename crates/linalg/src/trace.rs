@@ -18,10 +18,10 @@
 //!   the residual, reducing probe complexity from `O(1/ε²)` to `O(1/ε)`.
 //!
 //! The paired estimator stores its frozen probes *interleaved* (node-major,
-//! `flat[i*s + j]` = entry `i` of probe `j`) and evaluates all of them in
-//! lockstep through [`slq_trace_batch_in`]: one blocked matvec per Lanczos
-//! step streams the matrix once for the whole probe set. The batched sweep
-//! is bit-identical to the sequential per-probe loop (retained as
+//! `flat[i*s + j]` = entry `i` of probe `j`) and evaluates them in lane
+//! tiles through [`slq_trace_batch_in`]: one lane matvec per Lanczos step
+//! streams the matrix once for each tile of up to 16 probes. The batched
+//! sweep is bit-identical to the sequential per-probe loop (retained as
 //! [`PairedTraceEstimator::trace_exp_unbatched`] for tests and benches).
 
 use rand::Rng;

@@ -18,6 +18,28 @@ fn graph_strategy(max_n: usize) -> impl Strategy<Value = CsrMatrix> {
     })
 }
 
+/// `matvec_lanes::<L>` against `L` scalar `matvec` calls, bit for bit.
+fn lanes_match_scalar<const L: usize, M: MatVec>(
+    m: &M,
+    seed: u64,
+) -> Result<(), proptest::runner::TestCaseError> {
+    use rand::SeedableRng;
+    let n = m.n();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let flat = ct_linalg::gaussian_vector(&mut rng, n * L);
+    let xs = flat.as_chunks::<L>().0;
+    let mut ys = vec![[0.0; L]; n];
+    m.matvec_lanes(xs, &mut ys);
+    for l in 0..L {
+        let x: Vec<f64> = xs.iter().map(|row| row[l]).collect();
+        let y = m.matvec_alloc(&x);
+        for i in 0..n {
+            prop_assert_eq!(ys[i][l].to_bits(), y[i].to_bits(), "L={} lane {} row {}", L, l, i);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn tridiag_ql_matches_jacobi(
@@ -149,22 +171,23 @@ proptest! {
     #[test]
     fn blocked_matvec_matches_scalar_lanes(
         g in graph_strategy(14),
-        nrhs in 1usize..9,
+        adds in proptest::collection::vec((0u32..14, 0u32..14), 0..6),
         seed in 0u64..100,
     ) {
-        use rand::SeedableRng;
         let n = g.n();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let xs = ct_linalg::gaussian_vector(&mut rng, n * nrhs);
-        let mut ys = vec![0.0; n * nrhs];
-        g.matvec_block(&xs, &mut ys, nrhs);
-        for j in 0..nrhs {
-            let x: Vec<f64> = (0..n).map(|i| xs[i * nrhs + j]).collect();
-            let y = g.matvec_alloc(&x);
-            for i in 0..n {
-                prop_assert_eq!(ys[i * nrhs + j].to_bits(), y[i].to_bits(), "lane {} row {}", j, i);
-            }
-        }
+        let adds: Vec<(u32, u32)> =
+            adds.into_iter().filter(|&(u, v)| (u as usize) < n && (v as usize) < n).collect();
+        let overlay = EdgeOverlay::new(&g, &adds);
+        lanes_match_scalar::<1, _>(&g, seed)?;
+        lanes_match_scalar::<2, _>(&g, seed)?;
+        lanes_match_scalar::<4, _>(&g, seed)?;
+        lanes_match_scalar::<8, _>(&g, seed)?;
+        lanes_match_scalar::<16, _>(&g, seed)?;
+        lanes_match_scalar::<1, _>(&overlay, seed)?;
+        lanes_match_scalar::<2, _>(&overlay, seed)?;
+        lanes_match_scalar::<4, _>(&overlay, seed)?;
+        lanes_match_scalar::<8, _>(&overlay, seed)?;
+        lanes_match_scalar::<16, _>(&overlay, seed)?;
     }
 
     #[test]
