@@ -1,17 +1,16 @@
 //! Criterion microbench behind Table 4: candidate generation (road
 //! shortest paths) and the per-edge Δ(e) sweep.
 //!
-//! The `delta_sweep_*` pair pins the before/after of the allocation-free
-//! SLQ kernel rework: `legacy_rebuild` is the pre-overlay sweep (one CSR
-//! rebuild per candidate, one sequential SLQ pass per probe, static thread
-//! chunks), `overlay_batched` is the shipping path (EdgeOverlay views,
-//! blocked multi-probe matvec, work-stealing counter, thread-local
-//! workspaces). Both produce bit-identical Δ(e).
+//! `delta_sweep_overlay_batched` times the shipping sweep (EdgeOverlay
+//! views, lane-tiled multi-probe matvec, work-stealing counter,
+//! thread-local workspaces) on every available core. The per-probe
+//! before/after comparison lives in the `connectivity` bench
+//! (`slq_trace_per_probe` vs `slq_trace_batched`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ct_core::precompute::{compute_deltas, compute_deltas_reference};
+use ct_core::precompute::compute_deltas_with_threads;
 use ct_core::{CandidateSet, CtBusParams, Precomputed};
 use ct_data::{CityConfig, DemandModel};
 use ct_linalg::ConnectivityEstimator;
@@ -45,23 +44,27 @@ fn bench_precompute(c: &mut Criterion) {
             |b, city| b.iter(|| Precomputed::build(black_box(city), &demand, &params)),
         );
 
-        // Δ(e) sweep in isolation, before vs. after the kernel rework.
+        // Δ(e) sweep in isolation.
+        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         let cands = CandidateSet::build(&city, &demand, params.tau_m, params.max_detour_factor);
         let base = city.transit.adjacency_matrix();
         let estimator =
             ConnectivityEstimator::new(base.n(), &params.trace_params(), params.probe_seed);
         let base_trace = estimator.trace_exp(&base).unwrap().max(f64::MIN_POSITIVE);
         group.bench_with_input(
-            BenchmarkId::new("delta_sweep_legacy_rebuild", name),
-            &cands,
-            |b, cands| {
-                b.iter(|| compute_deltas_reference(black_box(cands), &base, &estimator, base_trace))
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("delta_sweep_overlay_batched", name),
             &cands,
-            |b, cands| b.iter(|| compute_deltas(black_box(cands), &base, &estimator, base_trace)),
+            |b, cands| {
+                b.iter(|| {
+                    compute_deltas_with_threads(
+                        black_box(cands),
+                        &base,
+                        &estimator,
+                        base_trace,
+                        threads,
+                    )
+                })
+            },
         );
 
         // Reparameterization must be orders of magnitude cheaper.

@@ -87,9 +87,6 @@ struct Config {
     chaos: bool,
     chaos_seed: u64,
     refresh: RefreshPolicy,
-    /// Spatial shards for the Δ-sweep/commit refresh (0 = unsharded);
-    /// bit-identical at any count, so `--verify` holds regardless.
-    shards: usize,
 }
 
 impl Config {
@@ -105,7 +102,6 @@ impl Config {
             chaos: false,
             chaos_seed: 1,
             refresh: RefreshPolicy::Exact,
-            shards: 0,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -120,7 +116,6 @@ impl Config {
                 "--assert-speedup" => cfg.assert_speedup = Some(parse(&value("assert-speedup")?)?),
                 "--chaos" => cfg.chaos = true,
                 "--chaos-seed" => cfg.chaos_seed = parse(&value("chaos-seed")?)?,
-                "--shards" => cfg.shards = parse(&value("shards")?)?,
                 "--refresh" => {
                     cfg.refresh = match value("refresh")?.as_str() {
                         "exact" => RefreshPolicy::Exact,
@@ -205,11 +200,7 @@ fn main() {
     params.k = 10;
     params.sn = 300;
     params.it_max = 600;
-    params.parallelism.shards = cfg.shards;
     let mode = PlannerMode::EtaPre;
-    if cfg.shards > 1 {
-        eprintln!("loadgen: spatial sharding — {} shards for sweep and refresh", cfg.shards);
-    }
 
     eprintln!("loadgen: building initial snapshot ({})…", cfg.preset);
     let mut state = ServeState::new(city.clone(), demand.clone(), params).with_refresh(cfg.refresh);

@@ -277,14 +277,14 @@ impl CandidateSet {
     /// — not decremented — so it is bit-identical to what a from-scratch
     /// build under the updated demand model would store. Untouched
     /// candidates keep their stored value, which equals the fresh sum
-    /// because none of their edges changed weight. Returns how many
-    /// candidates were refreshed.
-    pub fn refresh_demand(&mut self, demand: &DemandModel, covered: &[bool]) -> usize {
-        let mut touched = 0;
-        for e in &mut self.edges {
+    /// because none of their edges changed weight. Returns the refreshed
+    /// candidate ids, ascending.
+    pub fn refresh_demand(&mut self, demand: &DemandModel, covered: &[bool]) -> Vec<u32> {
+        let mut touched = Vec::new();
+        for (id, e) in self.edges.iter_mut().enumerate() {
             if e.road_edges.iter().any(|&r| covered[r as usize]) {
                 e.demand = demand.path_weight(&e.road_edges);
-                touched += 1;
+                touched.push(id as u32);
             }
         }
         touched

@@ -12,7 +12,7 @@
 //!    an [`ExpandCtx`] — a `Send` context borrowing the city and
 //!    pre-computation immutably and owning thread-local Lanczos/overlay
 //!    scratch. Workers pull batch indices off an atomic counter (work
-//!    stealing, same discipline as `precompute::compute_deltas`); every
+//!    stealing, same discipline as `precompute::sweep_deltas`); every
 //!    expansion is a pure function of the drained path and the frozen
 //!    probes, so the schedule cannot affect values.
 //! 3. **Merge** (sequential): results are applied in batch index order —

@@ -72,7 +72,6 @@ pub mod scorer;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod serve;
 pub mod session;
-pub mod shard;
 pub mod sites;
 
 pub use augment::{
@@ -99,5 +98,4 @@ pub use serve::{
     validate_ticket, CommitOutcome, CommitTicket, ServePolicy, ServeState, ServeStats, Snapshot,
 };
 pub use session::{CommitSummary, PlanningSession, RefreshPolicy};
-pub use shard::ShardLayout;
 pub use sites::{select_sites, SelectedSite, SiteParams, SiteSelection};

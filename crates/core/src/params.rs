@@ -32,41 +32,17 @@ pub struct Parallelism {
     /// paper's sequential poll-one-expand-one loop exactly. Affects
     /// results; fixed per run regardless of thread count.
     pub batch: usize,
-    /// Spatial shards for the partitioned Δ(e) sweep (see
-    /// `ct_core::shard`). `0` or `1` disables sharding. Like `threads`,
-    /// this is a performance knob only: sharded sweeps are bit-identical
-    /// to the unsharded path for every shard count.
-    #[serde(default)]
-    pub shards: usize,
-    /// Alternative to `shards`: target road-network nodes per shard, from
-    /// which the shard count is derived (`0` = off). An explicit `shards`
-    /// value wins. Never affects results.
-    #[serde(default)]
-    pub shard_target_nodes: usize,
 }
 
 impl Parallelism {
     /// All available cores, default batch size.
     pub fn auto() -> Self {
-        Parallelism { threads: 0, batch: 64, shards: 0, shard_target_nodes: 0 }
+        Parallelism { threads: 0, batch: 64 }
     }
 
     /// Single-threaded execution (same batch semantics, inline).
     pub fn sequential() -> Self {
-        Parallelism { threads: 1, batch: 64, shards: 0, shard_target_nodes: 0 }
-    }
-
-    /// The resolved shard count for a road network of `road_nodes` nodes:
-    /// an explicit `shards` wins, else `shard_target_nodes` derives one,
-    /// else 1 (unsharded).
-    pub fn resolve_shards(&self, road_nodes: usize) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else if self.shard_target_nodes > 0 {
-            road_nodes.div_ceil(self.shard_target_nodes).max(1)
-        } else {
-            1
-        }
+        Parallelism { threads: 1, batch: 64 }
     }
 
     /// The resolved worker count (`threads`, or the machine's available
@@ -161,7 +137,7 @@ impl CtBusParams {
             lanczos_steps: 8,
             probe_seed: 0xC7B5,
             max_detour_factor: 6.0,
-            parallelism: Parallelism { threads: 0, batch: 16, shards: 0, shard_target_nodes: 0 },
+            parallelism: Parallelism { threads: 0, batch: 16 },
         }
     }
 
@@ -232,22 +208,10 @@ mod tests {
     #[test]
     fn parallelism_resolution_and_validation() {
         assert!(Parallelism::auto().worker_threads() >= 1);
-        assert_eq!(Parallelism { threads: 3, batch: 8, ..Parallelism::auto() }.worker_threads(), 3);
+        assert_eq!(Parallelism { threads: 3, batch: 8 }.worker_threads(), 3);
         let mut p = CtBusParams::paper_defaults();
         p.parallelism.batch = 0;
         assert_eq!(p.validate().len(), 1);
-    }
-
-    #[test]
-    fn shard_resolution() {
-        let mut p = Parallelism::auto();
-        assert_eq!(p.resolve_shards(1_000_000), 1);
-        p.shard_target_nodes = 250;
-        assert_eq!(p.resolve_shards(1000), 4);
-        assert_eq!(p.resolve_shards(1001), 5);
-        assert_eq!(p.resolve_shards(0), 1);
-        p.shards = 7; // explicit count wins over the target knob
-        assert_eq!(p.resolve_shards(1000), 7);
     }
 
     #[test]

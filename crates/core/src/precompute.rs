@@ -34,7 +34,6 @@ use crate::bounds::{estrada_bound, path_bound};
 use crate::candidates::CandidateSet;
 use crate::params::CtBusParams;
 use crate::ranked::RankedList;
-use crate::shard::ShardLayout;
 
 /// How per-edge connectivity increments `Δ(e)` are pre-computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,11 +94,6 @@ pub struct Precomputed {
     /// spectrum head with them; `None` only when the spectrum solve failed.
     /// No planner reads it.
     pub spectrum_basis: Option<Arc<Vec<Vec<f64>>>>,
-    /// Spatial shard classification of the candidate pool (see
-    /// [`crate::shard`]); `None` when planning unsharded. A locality hint
-    /// only — never part of the bit-identity surface (every shard count
-    /// produces identical numerical state).
-    pub shard_layout: Option<Arc<ShardLayout>>,
     /// Frozen-probe estimator shared by all scoring.
     pub estimator: ConnectivityEstimator,
     /// Base adjacency matrix.
@@ -135,39 +129,22 @@ impl Precomputed {
             .expect("base trace estimation succeeds")
             .max(f64::MIN_POSITIVE);
 
-        // Spatial shard layout, when the parallelism knobs ask for one.
-        // Built before the sweep so the paired-probe path can partition its
-        // id set; a layout that degenerates to one shard is dropped.
-        let shards = params.parallelism.resolve_shards(city.road.num_nodes());
-        let shard_layout = (shards > 1)
-            .then(|| Arc::new(ShardLayout::build(&city.road, &candidates, shards)))
-            .filter(|l| l.num_shards() > 1);
-
         // ctlint::allow(wall-clock): reported as delta_secs only, never read back by the kernels
         let t1 = Instant::now();
-        let delta = match (method, &shard_layout) {
-            (DeltaMethod::PairedProbes, Some(layout)) => compute_deltas_sharded_with_threads(
-                layout,
-                &candidates,
-                &base_adj,
-                &estimator,
-                base_trace,
-                params.parallelism.worker_threads(),
-            ),
-            (DeltaMethod::PairedProbes, None) => compute_deltas_with_threads(
-                &candidates,
-                &base_adj,
-                &estimator,
-                base_trace,
-                params.parallelism.worker_threads(),
-            ),
-            (DeltaMethod::Perturbation, _) => compute_deltas_perturbation(
-                &candidates,
-                &base_adj,
-                base_trace,
-                params.lanczos_steps.max(12),
-            ),
-        };
+        let mut workspaces: Vec<LanczosWorkspace> =
+            (0..params.parallelism.worker_threads()).map(|_| LanczosWorkspace::new()).collect();
+        let mut delta = vec![0.0f64; candidates.len()];
+        sweep_deltas(
+            method,
+            &candidates,
+            &base_adj,
+            &estimator,
+            base_trace,
+            params,
+            &new_candidate_ids(&candidates),
+            &mut workspaces,
+            &mut delta,
+        );
         let connectivity_secs = t1.elapsed().as_secs_f64();
 
         Self::assemble(
@@ -179,7 +156,6 @@ impl Precomputed {
             params,
             PrecomputeTimings { shortest_path_secs, connectivity_secs },
             &[],
-            shard_layout,
         )
     }
 
@@ -208,7 +184,6 @@ impl Precomputed {
         params: &CtBusParams,
         timings: PrecomputeTimings,
         seeds: &[Vec<f64>],
-        shard_layout: Option<Arc<ShardLayout>>,
     ) -> Precomputed {
         let base_lambda = base_trace.ln() - (base_adj.n() as f64).ln();
 
@@ -251,7 +226,6 @@ impl Precomputed {
             top_eigs,
             conn_path_ub,
             spectrum_basis,
-            shard_layout,
             estimator,
             base_adj,
             timings,
@@ -295,7 +269,6 @@ impl Precomputed {
             top_eigs: self.top_eigs.clone(),
             conn_path_ub,
             spectrum_basis: self.spectrum_basis.clone(),
-            shard_layout: self.shard_layout.clone(),
             estimator: self.estimator.clone(),
             base_adj: self.base_adj.clone(),
             timings: self.timings,
@@ -316,30 +289,15 @@ fn conn_path_ub(base_lambda: f64, top_eigs: &[f64], k: usize, adj: &CsrMatrix) -
     (bound - base_lambda).max(0.0)
 }
 
-/// Estimates `Δ(e)` for every new candidate in parallel.
-///
-/// Workers pull candidate ids off a shared atomic counter (work stealing:
-/// skewed pools no longer leave cores idle behind a static partition) and
-/// score each candidate through an [`EdgeOverlay`] of the base matrix with
-/// a thread-local [`LanczosWorkspace`] — zero CSR rebuilds, zero steady-
-/// state allocations. Every Δ(e) is a pure function of the frozen probes,
-/// so the output is invariant under the worker count.
-///
-/// Uses all available cores; [`Precomputed::build_with`] routes the
-/// workspace-wide [`crate::Parallelism`] knob through
-/// [`compute_deltas_with_threads`] instead.
-pub fn compute_deltas(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-) -> Vec<f64> {
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    compute_deltas_with_threads(candidates, base, estimator, base_trace, threads)
+/// The ids of every new (non-existing) candidate, ascending: what a build
+/// and an exact-tier commit sweep.
+pub(crate) fn new_candidate_ids(candidates: &CandidateSet) -> Vec<u32> {
+    (0..candidates.len() as u32).filter(|&i| !candidates.edge(i).existing).collect()
 }
 
-/// [`compute_deltas`] with an explicit worker count (exposed for the
-/// thread-invariance tests and benches).
+/// Paired-probe `Δ(e)` of every new candidate on `threads` workers
+/// (exposed for the thread-invariance tests and benches; planning sweeps
+/// through [`Precomputed::build_with`]).
 #[doc(hidden)]
 pub fn compute_deltas_with_threads(
     candidates: &CandidateSet,
@@ -350,347 +308,155 @@ pub fn compute_deltas_with_threads(
 ) -> Vec<f64> {
     let mut workspaces: Vec<LanczosWorkspace> =
         (0..threads.max(1)).map(|_| LanczosWorkspace::new()).collect();
-    compute_deltas_in(candidates, base, estimator, base_trace, &mut workspaces)
-}
-
-/// [`compute_deltas`] over caller-owned [`LanczosWorkspace`]s: one worker
-/// thread per workspace, each reusing its workspace's buffers across
-/// candidates *and across calls*.
-///
-/// Long-lived planning sessions hold their workspace pool across commits,
-/// so a re-sweep after absorbing a route performs no steady-state heap
-/// allocations at all. Output is identical to [`compute_deltas`] for any
-/// pool size (every Δ(e) is a pure function of the frozen probes).
-///
-/// # Panics
-/// Panics if `workspaces` is empty — zero workers would silently return
-/// all-zero deltas.
-pub fn compute_deltas_in(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-    workspaces: &mut [LanczosWorkspace],
-) -> Vec<f64> {
-    let n = candidates.len();
-    let mut delta = vec![0.0f64; n];
-    let ids: Vec<u32> = (0..n as u32).filter(|&i| !candidates.edge(i).existing).collect();
-    compute_deltas_scoped(candidates, base, estimator, base_trace, workspaces, &ids, &mut delta);
-    delta
-}
-
-/// The Δ(e) sweep restricted to an explicit id set: estimates `Δ(e)` for
-/// exactly the candidates in `ids`, writing into `delta[id]` and leaving
-/// every other slot untouched.
-///
-/// This is the approximate refresh tier's entry point — a commit that only
-/// touched a corridor subset re-scores that subset in O(touched) instead of
-/// O(all). [`compute_deltas_in`] is the all-ids special case; each swept
-/// Δ(e) is bit-identical to what the full sweep would store (pure function
-/// of the frozen probes, invariant under the worker count and the id-set
-/// partition).
-///
-/// # Panics
-/// Panics if `workspaces` is empty while `ids` is not, or if an id is out
-/// of range for `delta`.
-pub(crate) fn compute_deltas_scoped(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-    workspaces: &mut [LanczosWorkspace],
-    ids: &[u32],
-    delta: &mut [f64],
-) {
-    if ids.is_empty() {
-        return;
-    }
-    assert!(!workspaces.is_empty(), "compute_deltas_scoped needs at least one workspace");
-
-    let threads = workspaces.len().min(ids.len());
-    let next = AtomicUsize::new(0);
-    let next = &next;
-    let results: Vec<Vec<(u32, f64)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = workspaces
-            .iter_mut()
-            .take(threads)
-            .map(|ws| {
-                s.spawn(move || {
-                    let mut overlay = EdgeOverlay::empty(base);
-                    let mut out = Vec::with_capacity(ids.len() / threads + 1);
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&id) = ids.get(idx) else { break };
-                        let e = candidates.edge(id);
-                        overlay.set_edges(&[(e.u, e.v)]);
-                        let inc = match estimator.trace_exp_in(&overlay, ws) {
-                            Ok(tr) => (tr.max(f64::MIN_POSITIVE) / base_trace).ln(),
-                            Err(_) => 0.0,
-                        };
-                        // Monotonicity of natural connectivity under edge
-                        // addition guarantees Δ ≥ 0; clamp residual probe
-                        // noise.
-                        out.push((id, inc.max(0.0)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("delta worker does not panic")).collect()
-    });
-
-    for part in results {
-        for (id, inc) in part {
-            delta[id as usize] = inc;
-        }
-    }
-}
-
-/// The spatially sharded Δ(e) sweep (see [`crate::shard`]), allocating its
-/// own workspace pool (exposed for benches and the equivalence tests).
-///
-/// Phase 1 sweeps shard-local candidates shard-parallel: workers steal
-/// whole shards off an atomic counter and score each shard's pool
-/// sequentially with a thread-local workspace. Phase 2 stitches boundary
-/// candidates (corridors touching ≥ 2 shards) through the same global
-/// [`compute_deltas_scoped`] path the unsharded sweep uses. Every Δ(e) is
-/// a pure function of the frozen probes, so the output is bit-identical to
-/// [`compute_deltas_with_threads`] for any shard and worker count.
-#[doc(hidden)]
-pub fn compute_deltas_sharded_with_threads(
-    layout: &ShardLayout,
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-    threads: usize,
-) -> Vec<f64> {
-    let mut workspaces: Vec<LanczosWorkspace> =
-        (0..threads.max(1)).map(|_| LanczosWorkspace::new()).collect();
     let mut delta = vec![0.0f64; candidates.len()];
-    compute_deltas_sharded(
-        layout,
+    // Paired probes read only the estimator, so any parameter set will do.
+    sweep_deltas(
+        DeltaMethod::PairedProbes,
         candidates,
         base,
         estimator,
         base_trace,
+        &CtBusParams::paper_defaults(),
+        &new_candidate_ids(candidates),
         &mut workspaces,
         &mut delta,
     );
     delta
 }
 
-/// [`compute_deltas_sharded_with_threads`] over a caller-owned workspace
-/// pool, writing into `delta` in place (the session refresh path).
-pub(crate) fn compute_deltas_sharded(
-    layout: &ShardLayout,
+/// The Δ(e) sweep: estimates `Δ(e)` for exactly the candidates in `ids`,
+/// writing `delta[id]` and leaving every other slot untouched.
+///
+/// Builds and exact-tier commits pass every new candidate; approximate-tier
+/// commits pass only the candidates the committed route touched. Each
+/// Δ(e) is a pure function of the frozen probes (paired probes) or of the
+/// base matrix (perturbation), so the output is invariant under the
+/// worker count and under how the id set is split.
+///
+/// * [`DeltaMethod::PairedProbes`] — one scoped worker per workspace pulls
+///   ids off a shared atomic counter (work stealing: a skewed pool leaves
+///   no core idle behind a static partition) and scores each candidate
+///   through a reusable [`EdgeOverlay`] of the base matrix with its own
+///   [`LanczosWorkspace`]: zero CSR rebuilds, zero steady-state
+///   allocations. The workspaces are caller-owned, so a session reuses
+///   them across commits.
+/// * [`DeltaMethod::Perturbation`] — second-order perturbation estimate.
+///   For the rank-2 perturbation `E = e_u e_vᵀ + e_v e_uᵀ` (u ≠ v):
+///   first order, `tr(e^A E) = 2(e^A)_{uv}` (the u–v communicability);
+///   second order (commuting approximation of the Duhamel integral),
+///   `½ tr(e^A E²) = ½((e^A)_{uu} + (e^A)_{vv})` — the dominant term for
+///   stop pairs far apart in the graph, where the communicability is ≈ 0
+///   but the edge still builds a new 2-cycle. So `Δ(e) ≈ ln(1 +
+///   (2(e^A)_{uv} + ½((e^A)_{uu} + (e^A)_{vv})) / tr(e^A))`, which matches
+///   the Taylor series of `tr(e^{A+E})` through second order and slightly
+///   *under*estimates (every omitted term is positive for an adjacency
+///   matrix): a conservative, noise-free surrogate. One Lanczos column
+///   solve (at least 12 steps) per endpoint stop covers all its edges.
+///
+/// # Panics
+/// Panics if the paired-probe sweep gets no workspace for a non-empty
+/// `ids`, or if an id is out of range for `delta`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep_deltas(
+    method: DeltaMethod,
     candidates: &CandidateSet,
     base: &CsrMatrix,
     estimator: &ConnectivityEstimator,
     base_trace: f64,
+    params: &CtBusParams,
+    ids: &[u32],
     workspaces: &mut [LanczosWorkspace],
     delta: &mut [f64],
 ) {
-    // Phase 1: shard-parallel local sweep. Each worker steals shard
-    // indices and sweeps that shard's pool with its own workspace — the
-    // per-candidate math is identical to `compute_deltas_scoped`, only the
-    // id-set partition differs, which cannot change any Δ(e).
-    let pools: Vec<&[u32]> =
-        (0..layout.num_shards()).map(|s| layout.local(s)).filter(|p| !p.is_empty()).collect();
-    if !pools.is_empty() {
-        assert!(!workspaces.is_empty(), "compute_deltas_sharded needs at least one workspace");
-        let threads = workspaces.len().min(pools.len());
-        let next = AtomicUsize::new(0);
-        let next = &next;
-        let pools = &pools;
-        let results: Vec<Vec<(u32, f64)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = workspaces
-                .iter_mut()
-                .take(threads)
-                .map(|ws| {
-                    s.spawn(move || {
-                        let mut overlay = EdgeOverlay::empty(base);
-                        let mut out = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(pool) = pools.get(idx) else { break };
-                            out.reserve(pool.len());
-                            for &id in *pool {
+    if ids.is_empty() {
+        return;
+    }
+    match method {
+        DeltaMethod::PairedProbes => {
+            assert!(!workspaces.is_empty(), "the Δ(e) sweep needs at least one workspace");
+            let threads = workspaces.len().min(ids.len());
+            let next = AtomicUsize::new(0);
+            let next = &next;
+            let results: Vec<Vec<(u32, f64)>> = std::thread::scope(|s| {
+                let handles: Vec<_> = workspaces
+                    .iter_mut()
+                    .take(threads)
+                    .map(|ws| {
+                        s.spawn(move || {
+                            let mut overlay = EdgeOverlay::empty(base);
+                            let mut out = Vec::with_capacity(ids.len() / threads + 1);
+                            loop {
+                                let idx = next.fetch_add(1, Ordering::Relaxed);
+                                let Some(&id) = ids.get(idx) else { break };
                                 let e = candidates.edge(id);
                                 overlay.set_edges(&[(e.u, e.v)]);
                                 let inc = match estimator.trace_exp_in(&overlay, ws) {
                                     Ok(tr) => (tr.max(f64::MIN_POSITIVE) / base_trace).ln(),
                                     Err(_) => 0.0,
                                 };
+                                // Monotonicity of natural connectivity under
+                                // edge addition guarantees Δ ≥ 0; clamp
+                                // residual probe noise.
                                 out.push((id, inc.max(0.0)));
                             }
-                        }
-                        out
+                            out
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker does not panic")).collect()
-        });
-        for part in results {
-            for (id, inc) in part {
-                delta[id as usize] = inc;
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("delta worker does not panic"))
+                    .collect()
+            });
+            for part in results {
+                for (id, inc) in part {
+                    delta[id as usize] = inc;
+                }
             }
         }
-    }
-
-    // Phase 2: boundary stitching through the global overlay path.
-    compute_deltas_scoped(
-        candidates,
-        base,
-        estimator,
-        base_trace,
-        workspaces,
-        layout.boundary(),
-        delta,
-    );
-}
-
-/// The pre-overlay Δ(e) sweep: statically chunked threads, one full CSR
-/// rebuild per candidate, one sequential SLQ pass per probe. Kept verbatim
-/// as the before/after baseline for the `precompute` bench and the
-/// equivalence tests; produces bit-identical Δ(e) to [`compute_deltas`].
-#[doc(hidden)]
-pub fn compute_deltas_reference(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    estimator: &ConnectivityEstimator,
-    base_trace: f64,
-) -> Vec<f64> {
-    let n = candidates.len();
-    let mut delta = vec![0.0f64; n];
-    let ids: Vec<u32> = (0..n as u32).filter(|&i| !candidates.edge(i).existing).collect();
-    if ids.is_empty() {
-        return delta;
-    }
-
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(ids.len());
-    let chunk = ids.len().div_ceil(threads);
-    let mut results: Vec<Vec<(u32, f64)>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ids
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    let mut out = Vec::with_capacity(part.len());
-                    for &id in part {
-                        let e = candidates.edge(id);
-                        let augmented = base.with_added_unit_edges(&[(e.u, e.v)]);
-                        let inc = match estimator.trace_exp_unbatched(&augmented) {
-                            Ok(tr) => (tr.max(f64::MIN_POSITIVE) / base_trace).ln(),
-                            Err(_) => 0.0,
-                        };
-                        out.push((id, inc.max(0.0)));
-                    }
-                    out
+        DeltaMethod::Perturbation => {
+            // Columns of e^A for every endpoint of a swept candidate edge:
+            // one solve per *distinct* stop (endpoints repeating across
+            // candidates — and a degenerate u == v pair — dedup to a single
+            // entry), all sharing one Lanczos workspace so the per-stop
+            // solve allocates only the stored column itself.
+            let lanczos_steps = params.lanczos_steps.max(12);
+            let mut needed: Vec<u32> = ids
+                .iter()
+                .map(|&id| candidates.edge(id))
+                .filter(|e| !e.existing)
+                .flat_map(|e| [e.u, e.v])
+                .collect();
+            needed.sort_unstable();
+            needed.dedup();
+            let mut ws = LanczosWorkspace::new();
+            let mut col = Vec::new();
+            let columns: Vec<Option<Vec<f64>>> = needed
+                .iter()
+                .map(|&u| {
+                    expm_column_in(base, u as usize, lanczos_steps, &mut ws, &mut col)
+                        .is_ok()
+                        .then(|| col.clone())
                 })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("delta worker does not panic"));
+                .collect();
+            let col_of = |stop: u32| -> Option<&Vec<f64>> {
+                needed.binary_search(&stop).ok().and_then(|i| columns[i].as_ref())
+            };
+
+            for &id in ids {
+                let e = candidates.edge(id);
+                if e.existing {
+                    continue;
+                }
+                let (Some(col_u), Some(col_v)) = (col_of(e.u), col_of(e.v)) else {
+                    continue;
+                };
+                let comm = col_u[e.v as usize].max(0.0);
+                let diag = col_u[e.u as usize].max(1.0) + col_v[e.v as usize].max(1.0);
+                let trace_gain = 2.0 * comm + 0.5 * diag;
+                delta[id as usize] = (trace_gain / base_trace).ln_1p().max(0.0);
+            }
         }
-    });
-
-    for part in results {
-        for (id, inc) in part {
-            delta[id as usize] = inc;
-        }
-    }
-    delta
-}
-
-/// Second-order perturbation estimate of all Δ(e) (see [`DeltaMethod`]).
-///
-/// For the rank-2 perturbation `E = e_u e_vᵀ + e_v e_uᵀ` (u ≠ v):
-///
-/// * first order: `tr(e^A E) = 2(e^A)_{uv}` (the u–v communicability);
-/// * second order (commuting approximation of the Duhamel integral):
-///   `½ tr(e^A E²) = ½((e^A)_{uu} + (e^A)_{vv})` — this is the dominant
-///   term for stop pairs that are far apart in the graph, where the
-///   communicability is ≈ 0 but adding the edge still builds a new 2-cycle.
-///
-/// So `Δ(e) ≈ ln(1 + (2(e^A)_{uv} + ½((e^A)_{uu} + (e^A)_{vv} − 2·cosh-
-/// floor)) / tr(e^A))` — we keep the raw diagonal (no floor subtraction)
-/// which matches the Taylor series of `tr(e^{A+E})` through second order
-/// and systematically *underestimates* slightly (all omitted terms are
-/// positive for adjacency matrices); a conservative, noise-free surrogate.
-/// One Lanczos column solve per endpoint stop covers all incident edges.
-pub(crate) fn compute_deltas_perturbation(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    base_trace: f64,
-    lanczos_steps: usize,
-) -> Vec<f64> {
-    let n = candidates.len();
-    let mut delta = vec![0.0f64; n];
-    let ids: Vec<u32> = (0..n as u32).filter(|&i| !candidates.edge(i).existing).collect();
-    compute_deltas_perturbation_scoped(
-        candidates,
-        base,
-        base_trace,
-        lanczos_steps,
-        &ids,
-        &mut delta,
-    );
-    delta
-}
-
-/// [`compute_deltas_perturbation`] restricted to an explicit id set (the
-/// approximate refresh tier's scoped re-score); writes `delta[id]` for
-/// exactly the ids given, leaving other slots untouched. Per-id output is
-/// identical to the full sweep's (the estimate is deterministic and
-/// per-edge).
-pub(crate) fn compute_deltas_perturbation_scoped(
-    candidates: &CandidateSet,
-    base: &CsrMatrix,
-    base_trace: f64,
-    lanczos_steps: usize,
-    ids: &[u32],
-    delta: &mut [f64],
-) {
-    // Columns of e^A for every endpoint of a swept candidate edge: one solve
-    // per *distinct* stop (endpoints repeating across candidates — and a
-    // degenerate u == v pair — dedup to a single entry), all sharing one
-    // Lanczos workspace so the per-stop solve allocates only the stored
-    // column itself.
-    let mut needed: Vec<u32> = ids
-        .iter()
-        .map(|&id| candidates.edge(id))
-        .filter(|e| !e.existing)
-        .flat_map(|e| [e.u, e.v])
-        .collect();
-    needed.sort_unstable();
-    needed.dedup();
-    let mut ws = LanczosWorkspace::new();
-    let mut col = Vec::new();
-    let columns: Vec<Option<Vec<f64>>> = needed
-        .iter()
-        .map(|&u| {
-            expm_column_in(base, u as usize, lanczos_steps, &mut ws, &mut col)
-                .is_ok()
-                .then(|| col.clone())
-        })
-        .collect();
-    let col_of = |stop: u32| -> Option<&Vec<f64>> {
-        needed.binary_search(&stop).ok().and_then(|i| columns[i].as_ref())
-    };
-
-    for &id in ids {
-        let e = candidates.edge(id);
-        if e.existing {
-            continue;
-        }
-        let (Some(col_u), Some(col_v)) = (col_of(e.u), col_of(e.v)) else {
-            continue;
-        };
-        let comm = col_u[e.v as usize].max(0.0);
-        let diag = col_u[e.u as usize].max(1.0) + col_v[e.v as usize].max(1.0);
-        let trace_gain = 2.0 * comm + 0.5 * diag;
-        delta[id as usize] = (trace_gain / base_trace).ln_1p().max(0.0);
     }
 }
 
@@ -703,6 +469,58 @@ mod tests {
         let city = CityConfig::small().seed(12).generate();
         let demand = DemandModel::from_city(&city);
         (city, demand, CtBusParams::small_defaults())
+    }
+
+    /// The pre-overlay Δ(e) sweep, kept as the oracle the shipping sweep
+    /// must match bit for bit: statically chunked threads, one full CSR
+    /// rebuild per candidate, one sequential SLQ pass per probe.
+    fn compute_deltas_reference(
+        candidates: &CandidateSet,
+        base: &CsrMatrix,
+        estimator: &ConnectivityEstimator,
+        base_trace: f64,
+    ) -> Vec<f64> {
+        let n = candidates.len();
+        let mut delta = vec![0.0f64; n];
+        let ids: Vec<u32> = (0..n as u32).filter(|&i| !candidates.edge(i).existing).collect();
+        if ids.is_empty() {
+            return delta;
+        }
+
+        let threads =
+            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(ids.len());
+        let chunk = ids.len().div_ceil(threads);
+        let mut results: Vec<Vec<(u32, f64)>> = Vec::new();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = ids
+                .chunks(chunk)
+                .map(|part| {
+                    s.spawn(move || {
+                        let mut out = Vec::with_capacity(part.len());
+                        for &id in part {
+                            let e = candidates.edge(id);
+                            let augmented = base.with_added_unit_edges(&[(e.u, e.v)]);
+                            let inc = match estimator.trace_exp_unbatched(&augmented) {
+                                Ok(tr) => (tr.max(f64::MIN_POSITIVE) / base_trace).ln(),
+                                Err(_) => 0.0,
+                            };
+                            out.push((id, inc.max(0.0)));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            for h in handles {
+                results.push(h.join().expect("delta worker does not panic"));
+            }
+        });
+
+        for part in results {
+            for (id, inc) in part {
+                delta[id as usize] = inc;
+            }
+        }
+        delta
     }
 
     #[test]
@@ -861,48 +679,6 @@ mod tests {
                 compute_deltas_with_threads(&candidates, &base, &estimator, base_trace, threads);
             assert_eq!(fast, reference, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn sharded_sweep_is_bit_identical_to_unsharded() {
-        let (city, demand, params) = setup();
-        let candidates =
-            CandidateSet::build(&city, &demand, params.tau_m, params.max_detour_factor);
-        let base = city.transit.adjacency_matrix();
-        let estimator =
-            ConnectivityEstimator::new(base.n(), &params.trace_params(), params.probe_seed);
-        let base_trace = estimator.trace_exp(&base).unwrap().max(f64::MIN_POSITIVE);
-        let reference = compute_deltas_with_threads(&candidates, &base, &estimator, base_trace, 2);
-        for shards in [1usize, 2, 4, 16] {
-            let layout = ShardLayout::build(&city.road, &candidates, shards);
-            for threads in [1usize, 3] {
-                let sharded = compute_deltas_sharded_with_threads(
-                    &layout,
-                    &candidates,
-                    &base,
-                    &estimator,
-                    base_trace,
-                    threads,
-                );
-                assert_eq!(sharded, reference, "shards={shards} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn build_with_shards_produces_identical_state() {
-        let (city, demand, params) = setup();
-        let reference = Precomputed::build(&city, &demand, &params);
-        assert!(reference.shard_layout.is_none());
-        let mut sharded_params = params;
-        sharded_params.parallelism.shards = 4;
-        let sharded = Precomputed::build(&city, &demand, &sharded_params);
-        assert!(sharded.shard_layout.is_some());
-        assert_eq!(sharded.delta, reference.delta);
-        assert_eq!(sharded.base_trace, reference.base_trace);
-        assert_eq!(sharded.top_eigs, reference.top_eigs);
-        assert_eq!(sharded.d_max, reference.d_max);
-        assert_eq!(sharded.lambda_max, reference.lambda_max);
     }
 
     #[test]

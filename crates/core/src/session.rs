@@ -54,15 +54,13 @@ use std::time::Instant;
 use ct_data::{City, DemandModel};
 use ct_linalg::LanczosWorkspace;
 
-use crate::candidates::CandidateEdge;
 use crate::eta::execute_plan;
 use crate::fault::{self, FaultInjector};
 use crate::metrics::apply_plan;
 use crate::params::CtBusParams;
 use crate::plan::RoutePlan;
 use crate::precompute::{
-    compute_deltas_in, compute_deltas_perturbation, compute_deltas_perturbation_scoped,
-    compute_deltas_scoped, compute_deltas_sharded, DeltaMethod, PrecomputeTimings, Precomputed,
+    new_candidate_ids, sweep_deltas, DeltaMethod, PrecomputeTimings, Precomputed,
 };
 use crate::sites::{select_sites, SiteParams, SiteSelection};
 use crate::{PlannerMode, RunResult};
@@ -123,12 +121,6 @@ pub struct CommitSummary {
     /// under [`RefreshPolicy::Exact`], only the touched subset under
     /// [`RefreshPolicy::Approximate`].
     pub swept_candidates: usize,
-    /// Spatial shards in the session's layout (0 when planning unsharded).
-    pub shards_total: usize,
-    /// Shards whose local corridors provably miss the committed route, so
-    /// the approximate refresh skipped their candidate scans entirely
-    /// (always 0 for [`RefreshPolicy::Exact`], which re-sweeps everything).
-    pub shards_skipped: usize,
     /// Wall-clock seconds of the incremental refresh (trace + Δ-sweep +
     /// re-ranking) — the per-round cost a cold rebuild would dwarf with
     /// its candidate-generation shortest paths on top.
@@ -365,8 +357,6 @@ impl PlanningSession {
                 covered_road_edges: 0,
                 refreshed_candidates: 0,
                 swept_candidates: 0,
-                shards_total: 0,
-                shards_skipped: 0,
                 refresh_secs: 0.0,
             };
         }
@@ -418,14 +408,7 @@ impl PlanningSession {
             if self.refresh.is_exact() { Vec::new() } else { std::mem::take(&mut pre.delta) };
         let prev_basis = if self.refresh.is_exact() { None } else { pre.spectrum_basis.take() };
         let old_of = pre.candidates.promote_to_existing(&plan.new_stop_pairs);
-        // The shard layout tracks candidate ids, so it follows the same
-        // reorder (the road-node partition itself never changes — roads are
-        // immutable). Lifted out here; re-attached to the refreshed state.
-        if let Some(layout) = pre.shard_layout.as_mut() {
-            Arc::make_mut(layout).remap_after_promotion(&old_of, &pre.candidates);
-        }
-        let shard_layout = pre.shard_layout.take();
-        let refreshed_candidates = pre.candidates.refresh_demand(&self.demand, &covered_mask);
+        let refreshed = pre.candidates.refresh_demand(&self.demand, &covered_mask);
         pre.base_adj.absorb_unit_edges(&plan.new_stop_pairs);
 
         let base_trace = pre
@@ -433,56 +416,15 @@ impl PlanningSession {
             .trace_exp(&pre.base_adj)
             .expect("base trace estimation succeeds")
             .max(f64::MIN_POSITIVE);
-        let shards_total = shard_layout.as_deref().map_or(0, |l| l.num_shards());
-        let mut shards_skipped = 0usize;
-        let (delta, swept_candidates) = match self.refresh {
-            RefreshPolicy::Exact => {
-                let delta = match self.method {
-                    DeltaMethod::PairedProbes => {
-                        let threads = self.params.parallelism.worker_threads().max(1);
-                        if self.workspaces.len() < threads {
-                            self.workspaces.resize_with(threads, LanczosWorkspace::new);
-                        }
-                        if let Some(layout) = shard_layout.as_deref() {
-                            // Shard-parallel re-sweep: same id coverage as
-                            // `compute_deltas_in` (local ∪ boundary = every
-                            // new candidate), bit-identical values.
-                            let mut delta = vec![0.0f64; pre.candidates.len()];
-                            compute_deltas_sharded(
-                                layout,
-                                &pre.candidates,
-                                &pre.base_adj,
-                                &pre.estimator,
-                                base_trace,
-                                &mut self.workspaces[..threads],
-                                &mut delta,
-                            );
-                            delta
-                        } else {
-                            compute_deltas_in(
-                                &pre.candidates,
-                                &pre.base_adj,
-                                &pre.estimator,
-                                base_trace,
-                                &mut self.workspaces[..threads],
-                            )
-                        }
-                    }
-                    DeltaMethod::Perturbation => compute_deltas_perturbation(
-                        &pre.candidates,
-                        &pre.base_adj,
-                        base_trace,
-                        self.params.lanczos_steps.max(12),
-                    ),
-                };
-                let swept = pre.candidates.edges().iter().filter(|e| !e.existing).count();
-                (delta, swept)
-            }
-            RefreshPolicy::Approximate { include_route_stops, .. } => {
-                let n = pre.candidates.len();
-                // Carry the previous Δ(e) through the promotion reorder;
-                // promoted (now existing) candidates drop to the 0 a
-                // rebuild would store for them.
+        // The exact tier re-scores every new candidate from zero. The
+        // approximate tier carries the previous Δ(e) through the promotion
+        // reorder and re-scores only the touched candidates.
+        let n = pre.candidates.len();
+        let (ids, mut delta) = match self.refresh {
+            RefreshPolicy::Exact => (new_candidate_ids(&pre.candidates), vec![0.0f64; n]),
+            RefreshPolicy::Approximate { include_route_stops } => {
+                // Promoted (now existing) candidates drop to the 0 a rebuild
+                // would store for them.
                 let mut delta = vec![0.0f64; n];
                 for (id, slot) in delta.iter_mut().enumerate() {
                     if !pre.candidates.edge(id as u32).existing {
@@ -492,80 +434,34 @@ impl PlanningSession {
                 }
                 // Touched = corridor overlap (the demand refresh's own
                 // criterion) ∪ optionally the committed route's stop
-                // neighborhoods. With a shard layout, whole shards whose
-                // local corridors provably miss the covered set skip their
-                // candidate scans — the per-shard road-edge bitsets
-                // over-approximate the live corridors, so a skipped shard
-                // cannot contain an overlapping candidate and the touched
-                // set equals the unsharded O(n) scan's exactly.
-                let overlaps =
-                    |e: &CandidateEdge| e.road_edges.iter().any(|&r| covered_mask[r as usize]);
-                let mut touched = vec![false; n];
-                match shard_layout.as_deref() {
-                    Some(layout) => {
-                        for s in 0..layout.num_shards() {
-                            if !layout.shard_touches(s, &covered_mask) {
-                                shards_skipped += 1;
-                                continue;
-                            }
-                            for &id in layout.local(s) {
-                                if overlaps(pre.candidates.edge(id)) {
-                                    touched[id as usize] = true;
-                                }
-                            }
-                        }
-                        for &id in layout.boundary() {
-                            if overlaps(pre.candidates.edge(id)) {
-                                touched[id as usize] = true;
-                            }
-                        }
-                    }
-                    None => {
-                        for (id, e) in pre.candidates.edges().iter().enumerate() {
-                            if !e.existing && overlaps(e) {
-                                touched[id] = true;
-                            }
-                        }
-                    }
-                }
+                // neighborhoods.
+                let is_new = |&id: &u32| !pre.candidates.edge(id).existing;
+                let mut ids: Vec<u32> = refreshed.iter().copied().filter(is_new).collect();
                 if include_route_stops {
                     for &stop in &plan.stops {
-                        for &id in pre.candidates.incident(stop) {
-                            if !pre.candidates.edge(id).existing {
-                                touched[id as usize] = true;
-                            }
-                        }
+                        ids.extend(pre.candidates.incident(stop).iter().copied().filter(is_new));
                     }
+                    ids.sort_unstable();
+                    ids.dedup();
                 }
-                let ids: Vec<u32> = (0..n as u32).filter(|&i| touched[i as usize]).collect();
-                match self.method {
-                    DeltaMethod::PairedProbes => {
-                        let threads = self.params.parallelism.worker_threads().max(1);
-                        if self.workspaces.len() < threads {
-                            self.workspaces.resize_with(threads, LanczosWorkspace::new);
-                        }
-                        compute_deltas_scoped(
-                            &pre.candidates,
-                            &pre.base_adj,
-                            &pre.estimator,
-                            base_trace,
-                            &mut self.workspaces[..threads],
-                            &ids,
-                            &mut delta,
-                        );
-                    }
-                    DeltaMethod::Perturbation => compute_deltas_perturbation_scoped(
-                        &pre.candidates,
-                        &pre.base_adj,
-                        base_trace,
-                        self.params.lanczos_steps.max(12),
-                        &ids,
-                        &mut delta,
-                    ),
-                }
-                (delta, ids.len())
+                (ids, delta)
             }
         };
+        let threads = self.params.parallelism.worker_threads();
+        if self.workspaces.len() < threads {
+            self.workspaces.resize_with(threads, LanczosWorkspace::new);
+        }
+        sweep_deltas(
+            self.method,
+            &pre.candidates,
+            &pre.base_adj,
+            &pre.estimator,
+            base_trace,
+            &self.params,
+            &ids,
+            &mut self.workspaces[..threads],
+            &mut delta,
+        );
         let refresh_secs = t0.elapsed().as_secs_f64();
 
         // The exact tier restarts the spectrum head unseeded (bit-identical
@@ -582,17 +478,14 @@ impl PlanningSession {
             &self.params,
             PrecomputeTimings { shortest_path_secs: 0.0, connectivity_secs: refresh_secs },
             seeds,
-            shard_layout,
         )));
         self.commits += 1;
 
         CommitSummary {
             new_edges: plan.num_new_edges(),
             covered_road_edges,
-            refreshed_candidates,
-            swept_candidates,
-            shards_total,
-            shards_skipped,
+            refreshed_candidates: refreshed.len(),
+            swept_candidates: ids.len(),
             refresh_secs,
         }
     }

@@ -5,7 +5,7 @@
 //! behind a trait lets the planner score a candidate network `G'r = Gr + μ`
 //! *without materializing its CSR matrix*: an [`EdgeOverlay`] wraps the base
 //! matrix plus a handful of added unit edges and applies them on the fly,
-//! turning the per-candidate cost of `compute_deltas` from `O(nnz)` copies
+//! turning the per-candidate cost of the Δ(e) sweep from `O(nnz)` copies
 //! into `O(|μ|)` bookkeeping.
 //!
 //! `EdgeOverlay` is careful to produce **bit-identical** results to the

@@ -107,10 +107,7 @@ impl Config {
                 "apply_plan",
                 "build_with",
                 "assemble",
-                "compute_deltas",
-                "compute_deltas_scoped",
-                "compute_deltas_perturbation",
-                "compute_deltas_perturbation_scoped",
+                "sweep_deltas",
                 "shortest_paths_batch",
                 "realize",
                 "import",

@@ -19,7 +19,6 @@ pub mod distance;
 pub mod grid;
 pub mod point;
 pub mod polyline;
-pub mod shard;
 
 pub use angle::{heading, turn_angle, TurnClass, TURN_KILL_ANGLE, TURN_THRESHOLD_ANGLE};
 pub use bbox::BBox;
@@ -27,4 +26,3 @@ pub use distance::{equirectangular_m, haversine_m, EARTH_RADIUS_M};
 pub use grid::GridIndex;
 pub use point::{GeoPoint, Point, Projection};
 pub use polyline::Polyline;
-pub use shard::ShardMap;

@@ -70,42 +70,59 @@ USAGE:
   ctbus generate --preset <small|medium|chicago|nyc|manhattan|queens|brooklyn|staten-island|bronx>
                  [--seed N] [--trajectories N] [--out city.json]
   ctbus stats    --city city.json
-  ctbus plan     --city city.json [--k N] [--w F] [--tau M] [--tn N]
-                 [--mode eta|eta-pre|vk-tsp] [--geojson out.geojson]
-  ctbus multi    --city city.json --routes N [--k N] [--w F] [--shards N]
-  ctbus sites    --city city.json [--n N] [--w F] [--walk M] [--gap M] [--routes N]
-  ctbus augment  --city city.json [--k N] [--pool N] [--no-bound true]
+  ctbus plan     --city city.json [PLANNER] [--mode eta|eta-pre|vk-tsp]
+                 [--geojson out.geojson]
+  ctbus multi    --city city.json --routes N [PLANNER] [--mode eta|eta-pre|vk-tsp]
+  ctbus sites    --city city.json [--n N] [--w F] [--walk M] [--gap M]
+                 [--routes N] [PLANNER] [--mode eta|eta-pre|vk-tsp]
+  ctbus augment  --city city.json [--k N] [--pool N] [--no-bound true] [PLANNER]
   ctbus serve    --city city.json [--requests N] [--threads N] [--commit-every N]
                  [--chaos SEED] [--refresh exact|approximate]
-                 [--k N] [--w F] [--mode eta|eta-pre|vk-tsp] [--shards N]
+                 [PLANNER] [--mode eta|eta-pre|vk-tsp]
   ctbus gtfs-export --city city.json --out <dir>
   ctbus gtfs-import --gtfs <dir> --city city.json [--out city2.json]
+
+PLANNER (the route-planner flags of every subcommand marked with it):
+  [--k N] [--w F] [--tau M] [--tn N] [--sn N] [--it-max N]
 ";
+
+/// The flags [`Cli::params`] reads: the `PLANNER` group in [`USAGE`].
+const PLANNER_FLAGS: [&str; 6] = ["k", "w", "tau", "tn", "sn", "it-max"];
+
+/// The flags `command` reads besides [`PLANNER_FLAGS`], and whether it
+/// reads those too; `None` for an unknown subcommand.
+fn command_flags(command: &str) -> Option<(&'static [&'static str], bool)> {
+    Some(match command {
+        "generate" => (&["preset", "seed", "trajectories", "out"], false),
+        "stats" => (&["city"], false),
+        "plan" => (&["city", "mode", "geojson"], true),
+        "multi" => (&["city", "routes", "mode"], true),
+        "sites" => (&["city", "n", "walk", "gap", "routes", "mode"], true),
+        "augment" => (&["city", "pool", "no-bound"], true),
+        "serve" => {
+            (&["city", "requests", "threads", "commit-every", "chaos", "refresh", "mode"], true)
+        }
+        "gtfs-export" => (&["city", "out"], false),
+        "gtfs-import" => (&["gtfs", "city", "out"], false),
+        _ => return None,
+    })
+}
 
 impl Cli {
     /// Parses `args` (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, UsageError> {
         let mut it = args.into_iter();
         let command = it.next().ok_or_else(|| UsageError("missing subcommand".into()))?;
-        if !matches!(
-            command.as_str(),
-            "generate"
-                | "stats"
-                | "plan"
-                | "multi"
-                | "sites"
-                | "augment"
-                | "serve"
-                | "gtfs-export"
-                | "gtfs-import"
-        ) {
-            return Err(UsageError(format!("unknown subcommand `{command}`")));
-        }
+        let (flags, plans) = command_flags(&command)
+            .ok_or_else(|| UsageError(format!("unknown subcommand `{command}`")))?;
         let mut options = HashMap::new();
         while let Some(flag) = it.next() {
             let key = flag
                 .strip_prefix("--")
                 .ok_or_else(|| UsageError(format!("expected --flag, got `{flag}`")))?;
+            if !(flags.contains(&key) || plans && PLANNER_FLAGS.contains(&key)) {
+                return Err(UsageError(format!("`{command}` takes no --{key} flag")));
+            }
             let value = it.next().ok_or_else(|| UsageError(format!("--{key} needs a value")))?;
             options.insert(key.to_string(), value);
         }
@@ -174,11 +191,6 @@ impl Cli {
         }
         if let Some(it) = self.get::<u64>("it-max")? {
             p.it_max = it;
-        }
-        // Spatial shards for the Δ-sweep and commit refresh; an execution
-        // strategy only — results are bit-identical at any count.
-        if let Some(shards) = self.get::<usize>("shards")? {
-            p.parallelism.shards = shards;
         }
         let problems = p.validate();
         if !problems.is_empty() {
@@ -294,18 +306,10 @@ impl Cli {
                     }
                     let p = &result.best;
                     let summary = session.commit(p);
-                    let shard_note = if summary.shards_total > 0 {
-                        format!(
-                            ", {}/{} shards skipped",
-                            summary.shards_skipped, summary.shards_total
-                        )
-                    } else {
-                        String::new()
-                    };
                     writeln!(
                         out,
                         "  #{}: {} edges ({} new), demand {:.0}, conn +{:.5} \
-                         [commit: {} road edges zeroed, {} candidates refreshed{}, {:.2}s]",
+                         [commit: {} road edges zeroed, {} candidates refreshed, {:.2}s]",
                         i + 1,
                         p.num_edges(),
                         p.num_new_edges(),
@@ -313,7 +317,6 @@ impl Cli {
                         p.conn_increment,
                         summary.covered_road_edges,
                         summary.refreshed_candidates,
-                        shard_note,
                         summary.refresh_secs
                     )
                     .map_err(w)?;
@@ -715,12 +718,75 @@ mod tests {
         assert_eq!(p.w, 0.3);
     }
 
+    /// Every `(subcommand, flag)` pair [`USAGE`] lists, with `[PLANNER]`
+    /// expanded to the flags of the `PLANNER` group.
+    fn usage_flags() -> Vec<(String, String)> {
+        let flags_in = |line: &str| -> Vec<String> {
+            line.split_whitespace()
+                .filter_map(|tok| tok.trim_start_matches('[').strip_prefix("--"))
+                .map(|f| f.trim_end_matches(']').to_string())
+                .collect()
+        };
+        let planner_line = USAGE.lines().skip_while(|l| !l.starts_with("PLANNER")).nth(1).unwrap();
+        let planner = flags_in(planner_line);
+        assert_eq!(planner, PLANNER_FLAGS, "USAGE's PLANNER group drifted from params()");
+        let mut pairs = Vec::new();
+        let mut command = String::new();
+        for line in USAGE.lines().skip_while(|l| !l.starts_with("USAGE")).skip(1) {
+            if line.is_empty() {
+                break;
+            }
+            if let Some(rest) = line.trim_start().strip_prefix("ctbus ") {
+                command = rest.split_whitespace().next().unwrap().to_string();
+            }
+            let mut flags = flags_in(line);
+            if line.contains("[PLANNER]") {
+                flags.extend(planner.iter().cloned());
+            }
+            pairs.extend(flags.into_iter().map(|f| (command.clone(), f)));
+        }
+        pairs
+    }
+
     #[test]
-    fn shards_flag_reaches_parallelism() {
-        let cli = Cli::parse(args("multi --city c.json --routes 2 --shards 4")).unwrap();
-        assert_eq!(cli.params().unwrap().parallelism.shards, 4);
-        let cli = Cli::parse(args("plan --city c.json")).unwrap();
-        assert_eq!(cli.params().unwrap().parallelism.shards, 0);
+    fn flags_outside_a_subcommands_set_are_rejected() {
+        // A retired flag, a typo, and another subcommand's flag are refused
+        // by name instead of being silently ignored.
+        for (line, flag) in [
+            ("multi --city c.json --routes 2 --shards 4", "--shards"),
+            ("plan --city c.json --kk 5", "--kk"),
+            ("stats --city c.json --routes 3", "--routes"),
+        ] {
+            let err = Cli::parse(args(line)).unwrap_err();
+            assert!(err.0.contains(flag), "`{line}`: {}", err.0);
+        }
+        // Every flag USAGE lists for a subcommand parses, and USAGE lists
+        // every flag a subcommand accepts.
+        let listed = usage_flags();
+        for (command, flag) in &listed {
+            let line = format!("{command} --{flag} 1");
+            assert!(Cli::parse(args(&line)).is_ok(), "`{line}` rejected");
+        }
+        for command in [
+            "generate",
+            "stats",
+            "plan",
+            "multi",
+            "sites",
+            "augment",
+            "serve",
+            "gtfs-export",
+            "gtfs-import",
+        ] {
+            let (own, plans) = command_flags(command).unwrap();
+            let planner: &[&str] = if plans { &PLANNER_FLAGS } else { &[] };
+            for flag in own.iter().chain(planner) {
+                assert!(
+                    listed.iter().any(|(c, f)| c == command && f == flag),
+                    "USAGE omits `{command} --{flag}`"
+                );
+            }
+        }
     }
 
     #[test]
