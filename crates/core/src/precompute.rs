@@ -17,6 +17,8 @@
 //! allocations and **no** per-candidate CSR rebuilds: a candidate is scored
 //! by streaming the base matrix once per Lanczos step for each lane tile of
 //! frozen probes (lane matvec) with the candidate edge applied on the fly.
+//! The spectrum head runs in the same pool: one worker computes it before
+//! stealing ids, so no core idles behind it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -26,6 +28,7 @@ use ct_data::{City, DemandModel};
 use ct_linalg::lanczos::expm_column_in;
 use ct_linalg::{
     block_krylov_head, ConnectivityEstimator, CsrMatrix, EdgeOverlay, LanczosWorkspace,
+    SpectrumHead,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +58,10 @@ pub enum DeltaMethod {
 pub struct PrecomputeTimings {
     /// Candidate generation incl. road shortest paths, seconds.
     pub shortest_path_secs: f64,
-    /// Per-edge connectivity increment estimation, seconds.
+    /// Connectivity estimation, seconds: the base trace, the Δ(e) sweep
+    /// and the spectrum head that runs beside it. A commit reports its
+    /// `refresh_secs` here; promotion, demand refresh, absorb and ranking
+    /// stay outside.
     pub connectivity_secs: f64,
 }
 
@@ -124,17 +130,17 @@ impl Precomputed {
         let base_adj = city.transit.adjacency_matrix();
         let estimator =
             ConnectivityEstimator::new(base_adj.n(), &params.trace_params(), params.probe_seed);
+        // ctlint::allow(wall-clock): reported as connectivity_secs only, never read back by the kernels
+        let t1 = Instant::now();
         let base_trace = estimator
             .trace_exp(&base_adj)
             .expect("base trace estimation succeeds")
             .max(f64::MIN_POSITIVE);
 
-        // ctlint::allow(wall-clock): reported as delta_secs only, never read back by the kernels
-        let t1 = Instant::now();
         let mut workspaces: Vec<LanczosWorkspace> =
             (0..params.parallelism.worker_threads()).map(|_| LanczosWorkspace::new()).collect();
         let mut delta = vec![0.0f64; candidates.len()];
-        sweep_deltas(
+        let head = sweep_deltas(
             method,
             &candidates,
             &base_adj,
@@ -144,6 +150,7 @@ impl Precomputed {
             &new_candidate_ids(&candidates),
             &mut workspaces,
             &mut delta,
+            || spectrum_head(&base_adj, params, &[]),
         );
         let connectivity_secs = t1.elapsed().as_secs_f64();
 
@@ -155,25 +162,20 @@ impl Precomputed {
             estimator,
             params,
             PrecomputeTimings { shortest_path_secs, connectivity_secs },
-            &[],
+            head,
         )
     }
 
     /// Assembles the parameter-dependent tail of the pre-computation — the
-    /// ranked lists, the Eq. 12 normalizers, `L_e`, the spectrum head, and
-    /// the Lemma 4 path bound — from an already-computed candidate pool and
-    /// Δ(e) sweep.
+    /// ranked lists, the Eq. 12 normalizers, `L_e` and the Lemma 4 path
+    /// bound — from an already-computed candidate pool, Δ(e) sweep and
+    /// [`spectrum_head`] (`None` when its solve failed).
     ///
     /// This is the single code path shared by [`Precomputed::build_with`]
     /// (cold start) and [`crate::PlanningSession::commit`] (incremental
     /// refresh): both feed it the same ingredients, so a committed session's
     /// artifacts are bit-identical to a from-scratch rebuild by
     /// construction.
-    ///
-    /// `seeds` are the Ritz vectors the spectrum head starts from: empty
-    /// for a cold build and every exact-tier commit (the unseeded head,
-    /// bit-identical to a rebuild), the previous head's for an
-    /// approximate-tier commit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         candidates: CandidateSet,
@@ -183,7 +185,7 @@ impl Precomputed {
         estimator: ConnectivityEstimator,
         params: &CtBusParams,
         timings: PrecomputeTimings,
-        seeds: &[Vec<f64>],
+        head: Option<SpectrumHead>,
     ) -> Precomputed {
         let base_lambda = base_trace.ln() - (base_adj.n() as f64).ln();
 
@@ -201,16 +203,10 @@ impl Precomputed {
             .collect();
         let le = RankedList::new(&le_values);
 
-        // Spectrum head for the Lemma 3/4 bounds: the 2k values Lemma 3
-        // reads (Lemma 4 needs ⌈k/2⌉), at least 32. `path_bound` pads a
-        // head that a later `reparameterize` to larger k finds short.
-        let want = (2 * params.k).max(32).min(base_adj.n());
-        let mut rng = StdRng::seed_from_u64(params.probe_seed ^ 0x9E37_79B9);
-        let (top_eigs, spectrum_basis) =
-            match block_krylov_head(&base_adj, want, 0, seeds, &mut rng) {
-                Ok(head) => (head.values, Some(Arc::new(head.vectors))),
-                Err(_) => (Vec::new(), None),
-            };
+        let (top_eigs, spectrum_basis) = match head {
+            Some(head) => (head.values, Some(Arc::new(head.vectors))),
+            None => (Vec::new(), None),
+        };
         let conn_path_ub = conn_path_ub(base_lambda, &top_eigs, params.k, &base_adj);
 
         Precomputed {
@@ -289,6 +285,26 @@ fn conn_path_ub(base_lambda: f64, top_eigs: &[f64], k: usize, adj: &CsrMatrix) -
     (bound - base_lambda).max(0.0)
 }
 
+/// The spectrum head for the Lemma 3/4 bounds: the 2k values Lemma 3 reads
+/// (Lemma 4 needs ⌈k/2⌉), at least 32, with their Ritz vectors.
+/// `path_bound` pads a head that a later `reparameterize` to larger k finds
+/// short. `None` when the solve fails.
+///
+/// `seeds` are the Ritz vectors the head starts from: empty for a cold
+/// build and every exact-tier commit (the unseeded head, bit-identical to a
+/// rebuild), the previous head's for an approximate-tier commit. Every
+/// input is fixed before the Δ-sweep starts and the RNG stream is its own,
+/// so running it as the sweep pool's extra job cannot change its bits.
+pub(crate) fn spectrum_head(
+    base_adj: &CsrMatrix,
+    params: &CtBusParams,
+    seeds: &[Vec<f64>],
+) -> Option<SpectrumHead> {
+    let want = (2 * params.k).max(32).min(base_adj.n());
+    let mut rng = StdRng::seed_from_u64(params.probe_seed ^ 0x9E37_79B9);
+    block_krylov_head(base_adj, want, 0, seeds, &mut rng).ok()
+}
+
 /// The ids of every new (non-existing) candidate, ascending: what a build
 /// and an exact-tier commit sweep.
 pub(crate) fn new_candidate_ids(candidates: &CandidateSet) -> Vec<u32> {
@@ -320,12 +336,14 @@ pub fn compute_deltas_with_threads(
         &new_candidate_ids(candidates),
         &mut workspaces,
         &mut delta,
+        || (),
     );
     delta
 }
 
 /// The Δ(e) sweep: estimates `Δ(e)` for exactly the candidates in `ids`,
-/// writing `delta[id]` and leaving every other slot untouched.
+/// writing `delta[id]` and leaving every other slot untouched, and runs
+/// `job` (the [`spectrum_head`]) beside it, returning its result.
 ///
 /// Builds and exact-tier commits pass every new candidate; approximate-tier
 /// commits pass only the candidates the committed route touched. Each
@@ -339,8 +357,14 @@ pub fn compute_deltas_with_threads(
 ///   through a reusable [`EdgeOverlay`] of the base matrix with its own
 ///   [`LanczosWorkspace`]: zero CSR rebuilds, zero steady-state
 ///   allocations. The workspaces are caller-owned, so a session reuses
-///   them across commits.
-/// * [`DeltaMethod::Perturbation`] — second-order perturbation estimate.
+///   them across commits. `job` is the pool's longest work item, so the
+///   first worker runs it before stealing any id and the others start
+///   stealing at once; it counts as one item when sizing the pool, so a
+///   one-id sweep still gets two workers. With one worker everything runs
+///   on the calling thread and no thread is spawned. A worker's panic
+///   reaches the caller with its own payload.
+/// * [`DeltaMethod::Perturbation`] — second-order perturbation estimate,
+///   sequential, with `job` run after it.
 ///   For the rank-2 perturbation `E = e_u e_vᵀ + e_v e_uᵀ` (u ≠ v):
 ///   first order, `tr(e^A E) = 2(e^A)_{uv}` (the u–v communicability);
 ///   second order (commuting approximation of the Duhamel integral),
@@ -354,10 +378,10 @@ pub fn compute_deltas_with_threads(
 ///   solve (at least 12 steps) per endpoint stop covers all its edges.
 ///
 /// # Panics
-/// Panics if the paired-probe sweep gets no workspace for a non-empty
-/// `ids`, or if an id is out of range for `delta`.
+/// Panics if the paired-probe sweep gets no workspace, if an id is out of
+/// range for `delta`, or if `job` panics.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_deltas(
+pub(crate) fn sweep_deltas<T: Send>(
     method: DeltaMethod,
     candidates: &CandidateSet,
     base: &CsrMatrix,
@@ -367,52 +391,51 @@ pub(crate) fn sweep_deltas(
     ids: &[u32],
     workspaces: &mut [LanczosWorkspace],
     delta: &mut [f64],
-) {
-    if ids.is_empty() {
-        return;
-    }
+    job: impl FnOnce() -> T + Send,
+) -> T {
     match method {
         DeltaMethod::PairedProbes => {
-            assert!(!workspaces.is_empty(), "the Δ(e) sweep needs at least one workspace");
-            let threads = workspaces.len().min(ids.len());
+            let workers = workspaces.len().min(ids.len() + 1);
             let next = AtomicUsize::new(0);
             let next = &next;
-            let results: Vec<Vec<(u32, f64)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = workspaces
-                    .iter_mut()
-                    .take(threads)
-                    .map(|ws| {
-                        s.spawn(move || {
-                            let mut overlay = EdgeOverlay::empty(base);
-                            let mut out = Vec::with_capacity(ids.len() / threads + 1);
-                            loop {
-                                let idx = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&id) = ids.get(idx) else { break };
-                                let e = candidates.edge(id);
-                                overlay.set_edges(&[(e.u, e.v)]);
-                                let inc = match estimator.trace_exp_in(&overlay, ws) {
-                                    Ok(tr) => (tr.max(f64::MIN_POSITIVE) / base_trace).ln(),
-                                    Err(_) => 0.0,
-                                };
-                                // Monotonicity of natural connectivity under
-                                // edge addition guarantees Δ ≥ 0; clamp
-                                // residual probe noise.
-                                out.push((id, inc.max(0.0)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("delta worker does not panic"))
-                    .collect()
-            });
-            for part in results {
-                for (id, inc) in part {
-                    delta[id as usize] = inc;
+            let steal = move |ws: &mut LanczosWorkspace| {
+                let mut overlay = EdgeOverlay::empty(base);
+                let mut out = Vec::with_capacity(ids.len() / workers + 1);
+                loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&id) = ids.get(idx) else { break };
+                    let e = candidates.edge(id);
+                    overlay.set_edges(&[(e.u, e.v)]);
+                    let inc = match estimator.trace_exp_in(&overlay, ws) {
+                        Ok(tr) => (tr.max(f64::MIN_POSITIVE) / base_trace).ln(),
+                        Err(_) => 0.0,
+                    };
+                    // Monotonicity of natural connectivity under edge
+                    // addition guarantees Δ ≥ 0; clamp residual probe noise.
+                    out.push((id, inc.max(0.0)));
                 }
+                out
+            };
+            let (first, rest) = workspaces[..workers]
+                .split_first_mut()
+                .expect("the Δ(e) sweep needs at least one workspace");
+            let (out, parts) = if rest.is_empty() {
+                (job(), vec![steal(first)])
+            } else {
+                std::thread::scope(|s| {
+                    let head = s.spawn(move || (job(), steal(first)));
+                    let stealers: Vec<_> =
+                        rest.iter_mut().map(|ws| s.spawn(move || steal(ws))).collect();
+                    let (out, part) = join_worker(head);
+                    let mut parts = vec![part];
+                    parts.extend(stealers.into_iter().map(join_worker));
+                    (out, parts)
+                })
+            };
+            for (id, inc) in parts.into_iter().flatten() {
+                delta[id as usize] = inc;
             }
+            out
         }
         DeltaMethod::Perturbation => {
             // Columns of e^A for every endpoint of a swept candidate edge:
@@ -456,8 +479,15 @@ pub(crate) fn sweep_deltas(
                 let trace_gain = 2.0 * comm + 0.5 * diag;
                 delta[id as usize] = (trace_gain / base_trace).ln_1p().max(0.0);
             }
+            job()
         }
     }
+}
+
+/// Joins a sweep worker, re-raising its panic with the worker's own payload
+/// so the caller (and `fault::panic_message`) sees the original message.
+fn join_worker<T>(worker: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    worker.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]
@@ -678,6 +708,46 @@ mod tests {
             let fast =
                 compute_deltas_with_threads(&candidates, &base, &estimator, base_trace, threads);
             assert_eq!(fast, reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_pool_job_keeps_its_message() {
+        // The head runs as a pool job; a panic inside it (say, the
+        // eigensolver on a NaN Gram matrix) must reach the caller with its
+        // own message, inline at one worker and across a join at two.
+        let (city, demand, params) = setup();
+        let candidates =
+            CandidateSet::build(&city, &demand, params.tau_m, params.max_detour_factor);
+        let base = city.transit.adjacency_matrix();
+        let estimator =
+            ConnectivityEstimator::new(base.n(), &params.trace_params(), params.probe_seed);
+        let base_trace = estimator.trace_exp(&base).unwrap().max(f64::MIN_POSITIVE);
+        let ids = new_candidate_ids(&candidates);
+        for threads in [1, 2] {
+            let mut workspaces: Vec<LanczosWorkspace> =
+                (0..threads).map(|_| LanczosWorkspace::new()).collect();
+            let mut delta = vec![0.0f64; candidates.len()];
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sweep_deltas(
+                    DeltaMethod::PairedProbes,
+                    &candidates,
+                    &base,
+                    &estimator,
+                    base_trace,
+                    &params,
+                    &ids[..4],
+                    &mut workspaces,
+                    &mut delta,
+                    || -> () { panic!("spectrum job failed on purpose") },
+                )
+            }))
+            .expect_err("the job's panic reaches the caller");
+            assert_eq!(
+                crate::fault::panic_message(payload),
+                "spectrum job failed on purpose",
+                "threads={threads}"
+            );
         }
     }
 

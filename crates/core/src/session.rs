@@ -20,7 +20,8 @@
 //!   ([`ct_linalg::CsrMatrix::absorb_unit_edges`]), the candidate pool is
 //!   promoted/refreshed in place, and the Δ(e) sweep re-runs on the
 //!   absorbed matrix through the session's persistent Lanczos workspace
-//!   pool — skipping candidate re-enumeration and all road Dijkstras;
+//!   pool, with the spectrum head as one more job on its workers —
+//!   skipping candidate re-enumeration and all road Dijkstras;
 //! * [`PlanningSession::branch`] — fork a what-if twin sharing the
 //!   heavyweight immutable layers.
 //!
@@ -60,7 +61,7 @@ use crate::metrics::apply_plan;
 use crate::params::CtBusParams;
 use crate::plan::RoutePlan;
 use crate::precompute::{
-    new_candidate_ids, sweep_deltas, DeltaMethod, PrecomputeTimings, Precomputed,
+    new_candidate_ids, spectrum_head, sweep_deltas, DeltaMethod, PrecomputeTimings, Precomputed,
 };
 use crate::sites::{select_sites, SiteParams, SiteSelection};
 use crate::{PlannerMode, RunResult};
@@ -121,9 +122,11 @@ pub struct CommitSummary {
     /// under [`RefreshPolicy::Exact`], only the touched subset under
     /// [`RefreshPolicy::Approximate`].
     pub swept_candidates: usize,
-    /// Wall-clock seconds of the incremental refresh (trace + Δ-sweep +
-    /// re-ranking) — the per-round cost a cold rebuild would dwarf with
-    /// its candidate-generation shortest paths on top.
+    /// Wall-clock seconds of the incremental refresh's numerics: the base
+    /// trace, the Δ-sweep and the spectrum head that runs beside it — the
+    /// per-round cost a cold rebuild would dwarf with its
+    /// candidate-generation shortest paths on top. Promotion, demand
+    /// refresh, absorb and ranking stay outside.
     pub refresh_secs: f64,
 }
 
@@ -399,8 +402,6 @@ impl PlanningSession {
         //    the route's new hops in first-occurrence order — the order
         //    `with_route_added` appended them, hence the order a rebuild's
         //    candidate scan would encounter them in.
-        // ctlint::allow(wall-clock): refresh_secs is commit-summary reporting only; the refresh math never reads the clock
-        let t0 = Instant::now();
         // The approximate tier carries the previous sweep forward, so the
         // old Δ vector and Ritz basis must be lifted out before the pool
         // reorder invalidates the id space.
@@ -411,6 +412,8 @@ impl PlanningSession {
         let refreshed = pre.candidates.refresh_demand(&self.demand, &covered_mask);
         pre.base_adj.absorb_unit_edges(&plan.new_stop_pairs);
 
+        // ctlint::allow(wall-clock): refresh_secs is commit-summary reporting only; the refresh math never reads the clock
+        let t0 = Instant::now();
         let base_trace = pre
             .estimator
             .trace_exp(&pre.base_adj)
@@ -451,7 +454,11 @@ impl PlanningSession {
         if self.workspaces.len() < threads {
             self.workspaces.resize_with(threads, LanczosWorkspace::new);
         }
-        sweep_deltas(
+        // The exact tier restarts the spectrum head unseeded (bit-identical
+        // to a rebuild); the approximate tier seeds it with the previous
+        // head's Ritz vectors. It runs beside the sweep on its workers.
+        let seeds = prev_basis.as_deref().map_or(&[][..], Vec::as_slice);
+        let head = sweep_deltas(
             self.method,
             &pre.candidates,
             &pre.base_adj,
@@ -461,13 +468,10 @@ impl PlanningSession {
             &ids,
             &mut self.workspaces[..threads],
             &mut delta,
+            || spectrum_head(&pre.base_adj, &self.params, seeds),
         );
         let refresh_secs = t0.elapsed().as_secs_f64();
 
-        // The exact tier restarts the spectrum head unseeded (bit-identical
-        // to a rebuild); the approximate tier seeds it with the previous
-        // head's Ritz vectors.
-        let seeds = prev_basis.as_deref().map_or(&[][..], Vec::as_slice);
         let Precomputed { candidates, base_adj, estimator, .. } = pre;
         self.pre = Some(Arc::new(Precomputed::assemble(
             candidates,
@@ -477,7 +481,7 @@ impl PlanningSession {
             estimator,
             &self.params,
             PrecomputeTimings { shortest_path_secs: 0.0, connectivity_secs: refresh_secs },
-            seeds,
+            head,
         )));
         self.commits += 1;
 
@@ -545,6 +549,7 @@ mod tests {
         assert_eq!(a.base_lambda, b.base_lambda, "{what}: base_lambda");
         assert_eq!(a.base_trace, b.base_trace, "{what}: base_trace");
         assert_eq!(a.top_eigs, b.top_eigs, "{what}: top_eigs");
+        assert_eq!(a.spectrum_basis, b.spectrum_basis, "{what}: spectrum_basis");
         assert_eq!(a.conn_path_ub, b.conn_path_ub, "{what}: conn_path_ub");
         assert_eq!(a.base_adj, b.base_adj, "{what}: base_adj");
         for id in 0..a.candidates.len() as u32 {

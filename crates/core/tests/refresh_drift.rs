@@ -172,6 +172,47 @@ fn approximate_replay_is_deterministic() {
 }
 
 #[test]
+fn approximate_chain_is_thread_invariant() {
+    // The seeded spectrum head runs beside the touched-id sweep on the
+    // sweep's workers; neither may depend on how many workers there are.
+    let (city, demand) = small_city(501);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let chain = |threads: usize| {
+        let mut params = quick_params();
+        params.parallelism.threads = threads;
+        let mut session = PlanningSession::new(city.clone(), demand.clone(), params)
+            .with_refresh(RefreshPolicy::approximate());
+        let mut rounds = Vec::new();
+        for _ in 0..3 {
+            let plan = session.plan(PlannerMode::EtaPre).best;
+            assert!(!plan.is_empty(), "threads={threads}: empty plan");
+            let summary = session.commit(&plan);
+            let pre = session.precomputed();
+            let basis = pre.spectrum_basis.as_ref().expect("a seeded commit keeps its Ritz basis");
+            rounds.push((
+                plan,
+                (summary.swept_candidates, summary.refreshed_candidates),
+                bits(&pre.delta),
+                bits(&pre.top_eigs),
+                basis.iter().map(|v| bits(v)).collect::<Vec<_>>(),
+            ));
+        }
+        rounds
+    };
+    let reference = chain(1);
+    for threads in [2, 4] {
+        let got = chain(threads);
+        for (round, (g, r)) in got.iter().zip(&reference).enumerate() {
+            assert_eq!(g.0, r.0, "threads={threads} round {round}: plan");
+            assert_eq!(g.1, r.1, "threads={threads} round {round}: swept/refreshed counts");
+            assert_eq!(g.2, r.2, "threads={threads} round {round}: delta bits");
+            assert_eq!(g.3, r.3, "threads={threads} round {round}: top_eigs bits");
+            assert_eq!(g.4, r.4, "threads={threads} round {round}: spectrum_basis bits");
+        }
+    }
+}
+
+#[test]
 fn first_approximate_commit_is_seeded_and_close() {
     let (city, demand) = small_city(501);
     let params = quick_params();

@@ -108,6 +108,8 @@ impl Config {
                 "build_with",
                 "assemble",
                 "sweep_deltas",
+                "spectrum_head",
+                "block_krylov_head",
                 "shortest_paths_batch",
                 "realize",
                 "import",
