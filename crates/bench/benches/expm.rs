@@ -2,7 +2,7 @@
 //! adjacencies — the two standard engines behind stochastic trace
 //! estimation (§5.1 vs refs [54, 55]).
 //!
-//! Expectation (documented in DESIGN.md): transit networks have tiny
+//! Expectation: transit networks have tiny
 //! spectral norms (paper: 5.46 / 4.79), so both need few iterations; the
 //! Lanczos per-step cost is higher (inner products + orthogonalization)
 //! while Chebyshev needs degree ∝ ‖A‖₂ but only one matvec per degree.

@@ -1,4 +1,5 @@
-//! One module per paper table/figure (index in DESIGN.md §4).
+//! One module per paper table/figure (ids listed in README.md, "Running the
+//! paper experiments").
 
 pub mod ext_augment;
 pub mod ext_delta;

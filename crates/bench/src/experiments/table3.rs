@@ -1,7 +1,7 @@
 //! Table 3: tightness of the four connectivity upper bounds at k = 15.
 //!
 //! Reported as *increments* over λ(Gr) so the four columns are directly
-//! comparable (see DESIGN.md: the paper mixes conventions; the ordering
+//! comparable (the paper mixes conventions; the ordering
 //! Estrada ≫ General > Path > Increment is the claim).
 
 use ct_core::{estrada_bound, general_bound, increment_bound, path_bound};

@@ -5,7 +5,7 @@ use crate::harness::{f, ExperimentCtx, OutputSink};
 /// Runs this experiment and writes its artifacts.
 pub fn run(ctx: &mut ExperimentCtx) {
     let mut sink = OutputSink::new("table5");
-    sink.line("# Table 5 — dataset overview (synthetic stand-ins; see DESIGN.md §3)");
+    sink.line("# Table 5 — dataset overview (synthetic stand-ins; see docs/ARCHITECTURE.md, \"Data ingestion\")");
     sink.blank();
 
     let names: Vec<&'static str> = ctx

@@ -2,8 +2,9 @@
 #![warn(missing_docs)]
 //! Evaluation harness for the CT-Bus reproduction.
 //!
-//! One experiment per table/figure of the paper's §7 (see DESIGN.md §4 for
-//! the full index). The `exp` binary dispatches by experiment id:
+//! One experiment per table/figure of the paper's §7 (README.md, "Running
+//! the paper experiments", lists every id). The `exp` binary dispatches by
+//! experiment id:
 //!
 //! ```sh
 //! cargo run --release -p ct_bench --bin exp -- table6          # one experiment

@@ -4,7 +4,8 @@
 //! > existing and new network connectivity optimization problems \[22, 23\]."
 //!
 //! The \[22\] problem adds `k` discrete edges maximizing natural
-//! connectivity; the plain greedy ([`crate::connectivity_first_edges`])
+//! connectivity; the plain greedy
+//! ([`crate::connectivity_first_edges_with_threads`])
 //! re-estimates `tr(e^{A+E})` for *every* candidate in *every* round —
 //! each estimate costing `probes × Lanczos` solves. This module prunes
 //! that scan with a per-edge **Golden–Thompson upper bound**: for a single
@@ -437,13 +438,13 @@ mod tests {
 
     #[test]
     fn matches_baseline_connectivity_first() {
-        // The plain mode reproduces crate::connectivity_first_edges.
+        // The plain mode reproduces the connectivity-first greedy.
         let pre = setup();
         let ours = augment_connectivity(
             &pre,
             &AugmentParams { k: 4, pool_size: 40, use_bound: false, ..Default::default() },
         );
-        let baseline = crate::baselines::connectivity_first_edges(&pre, 4, 40);
+        let baseline = crate::baselines::connectivity_first_edges_with_threads(&pre, 4, 40, 2);
         assert_eq!(ours.edges, baseline);
     }
 

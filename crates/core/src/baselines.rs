@@ -4,8 +4,9 @@
 //! edges greedily. The paper's point is that those edges do not form a bus
 //! route: ordering them with a travelling-salesman pass and stitching the
 //! gaps with road shortest paths yields a "route" dominated by connector
-//! mileage. [`connectivity_first_edges`] reproduces the greedy selection and
-//! [`stitch_edges_into_route`] quantifies the stitching overhead.
+//! mileage. [`connectivity_first_edges_with_threads`] reproduces the greedy
+//! selection and [`stitch_edges_into_route`] quantifies the stitching
+//! overhead.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -18,19 +19,13 @@ use crate::candidates::CandidateSet;
 use crate::precompute::Precomputed;
 
 /// Greedily selects `l` candidate edges maximizing the marginal natural
-/// connectivity gain (the \[22\] baseline), using all available cores.
+/// connectivity gain (the \[22\] baseline) on `threads` workers.
 ///
 /// Marginal gains are re-estimated after every pick with the shared
 /// paired-probe estimator. To keep the cubic-ish greedy tractable the
 /// search is restricted to the `pool_size` candidates with the largest
 /// individual Δ(e) — the greedy's picks always live in that head, so this
-/// pruning does not change results in practice (DESIGN.md §3).
-pub fn connectivity_first_edges(pre: &Precomputed, l: usize, pool_size: usize) -> Vec<u32> {
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    connectivity_first_edges_with_threads(pre, l, pool_size, threads)
-}
-
-/// [`connectivity_first_edges`] with an explicit worker count.
+/// pruning does not change results in practice.
 ///
 /// Each greedy round scans the pool in parallel: workers pull pool
 /// positions off an atomic work-stealing counter and score each candidate
@@ -251,7 +246,7 @@ mod tests {
     #[test]
     fn greedy_picks_distinct_new_edges() {
         let (_, pre) = setup();
-        let picks = connectivity_first_edges(&pre, 5, 50);
+        let picks = connectivity_first_edges_with_threads(&pre, 5, 50, 2);
         assert_eq!(picks.len(), 5);
         let mut dedup = picks.clone();
         dedup.sort_unstable();
@@ -267,7 +262,7 @@ mod tests {
         // With no edges chosen yet, the first greedy pick must be the
         // candidate with the single largest Δ(e).
         let (_, pre) = setup();
-        let picks = connectivity_first_edges(&pre, 1, 50);
+        let picks = connectivity_first_edges_with_threads(&pre, 1, 50, 2);
         let top_new =
             pre.llambda.iter_desc().find(|&id| !pre.candidates.edge(id).existing).unwrap();
         assert_eq!(picks[0], top_new);
@@ -292,7 +287,7 @@ mod tests {
         // claim (Fig. 6) is a city-scale phenomenon and is asserted by the
         // fig6 experiment, not at toy scale.
         let (city, pre) = setup();
-        let picks = connectivity_first_edges(&pre, 6, 60);
+        let picks = connectivity_first_edges_with_threads(&pre, 6, 60, 2);
         let stitched = stitch_edges_into_route(&city, &pre.candidates, &picks);
         assert_eq!(stitched.order.len(), 6);
         assert!(stitched.edge_length_m > 0.0);

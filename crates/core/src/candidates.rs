@@ -163,11 +163,6 @@ impl CandidateSet {
         self.num_new
     }
 
-    /// Number of candidates mirroring existing transit edges.
-    pub fn num_existing(&self) -> usize {
-        self.edges.len() - self.num_new
-    }
-
     /// Candidate with id `id`.
     pub fn edge(&self, id: u32) -> &CandidateEdge {
         &self.edges[id as usize]
@@ -306,9 +301,10 @@ mod tests {
     fn pool_contains_existing_and_new() {
         let (city, demand) = setup();
         let set = CandidateSet::build(&city, &demand, 450.0, 6.0);
-        assert_eq!(set.num_existing(), city.transit.num_edges());
+        let existing = set.edges().iter().filter(|e| e.existing).count();
+        assert_eq!(existing, city.transit.num_edges());
         assert!(set.num_new() > 0, "expected some new candidate edges");
-        assert_eq!(set.len(), set.num_new() + set.num_existing());
+        assert_eq!(set.len(), set.num_new() + existing);
     }
 
     #[test]

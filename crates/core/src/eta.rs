@@ -216,16 +216,7 @@ pub(crate) fn execute_plan_with(
     let batch = params.parallelism.batch.max(1);
 
     // Per-run ranked list: L_d for online bounds, L_e(w) for linear.
-    let le_values: Vec<f64> = if cfg.online_scoring {
-        Vec::new()
-    } else {
-        cands
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| w * e.demand / pre.d_max + (1.0 - w) * pre.delta[i] / pre.lambda_max)
-            .collect()
-    };
+    let le_values: Vec<f64> = if cfg.online_scoring { Vec::new() } else { pre.le_values(w) };
     let le_list = (!cfg.online_scoring).then(|| RankedList::new(&le_values));
     let bound_list: &RankedList = le_list.as_ref().unwrap_or(&pre.ld);
 

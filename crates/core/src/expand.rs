@@ -217,8 +217,7 @@ impl<'a> ExpandCtx<'a> {
     /// The path-level objective upper bound from the incremental bound.
     fn ub_of(&self, bound: &IncrementalBound) -> f64 {
         if self.cfg.online_scoring {
-            self.w * bound.ub / self.pre.d_max
-                + (1.0 - self.w) * self.pre.conn_path_ub / self.pre.lambda_max
+            self.pre.objective(self.w, bound.ub, self.pre.conn_path_ub)
         } else {
             bound.ub
         }
@@ -229,7 +228,7 @@ impl<'a> ExpandCtx<'a> {
         self.evals += 1;
         if self.cfg.online_scoring {
             let conn = self.online_increment(edges);
-            self.w * demand_sum / self.pre.d_max + (1.0 - self.w) * conn / self.pre.lambda_max
+            self.pre.objective(self.w, demand_sum, conn)
         } else {
             edges.iter().map(|&e| self.le_values[e as usize]).sum()
         }
@@ -483,16 +482,21 @@ impl<'a> ExpandCtx<'a> {
     pub(crate) fn plan_from(&self, cp: &CandPath, w: f64) -> RoutePlan {
         let pre = self.pre;
         let cands = &pre.candidates;
-        let online =
-            crate::scorer::ConnScorer::online(&pre.estimator, &pre.base_adj, pre.base_trace);
-        let conn = online.increment(&cp.edges, cands);
+        let new_stop_pairs = cands.new_stop_pairs(&cp.edges);
+        let conn = online_increment_in(
+            &pre.estimator,
+            pre.base_trace,
+            &mut EdgeOverlay::empty(&pre.base_adj),
+            &mut LanczosWorkspace::new(),
+            &new_stop_pairs,
+        );
         let demand = cp.demand_sum;
         let objective = pre.objective(w, demand, conn);
         let length_m = cp.edges.iter().map(|&e| cands.edge(e).length_m).sum();
         RoutePlan {
             stops: cp.stops.clone(),
             cand_edges: cp.edges.clone(),
-            new_stop_pairs: cands.new_stop_pairs(&cp.edges),
+            new_stop_pairs,
             demand,
             conn_increment: conn,
             objective,

@@ -129,11 +129,13 @@ impl FailPlan {
     }
 
     /// Sleep `millis` on the `nth` hit of `site`, once.
+    // ctlint::allow(dead-pub): fault-schedule API; the chaos suite (crates/core/tests/serve_chaos.rs) injects delays with it
     pub fn delay_at(self, site: &str, nth: u64, millis: u64) -> FailPlan {
         self.on(site, nth, 1, FaultAction::Delay { millis })
     }
 
     /// Surface a [`FaultError`] on the `nth` hit of `site`, once.
+    // ctlint::allow(dead-pub): fault-schedule API; the chaos suite (crates/core/tests/serve_chaos.rs) injects errors with it
     pub fn error_at(self, site: &str, nth: u64) -> FailPlan {
         self.on(site, nth, 1, FaultAction::Error)
     }

@@ -79,8 +79,7 @@ pub use augment::{
     AugmentStats,
 };
 pub use baselines::{
-    connectivity_first_edges, connectivity_first_edges_with_threads, stitch_edges_into_route,
-    StitchedRoute,
+    connectivity_first_edges_with_threads, stitch_edges_into_route, StitchedRoute,
 };
 pub use bounds::{estrada_bound, general_bound, increment_bound, path_bound};
 pub use candidates::{CandidateEdge, CandidateSet};
@@ -93,7 +92,7 @@ pub use plan::RoutePlan;
 pub use precompute::{DeltaMethod, PrecomputeTimings, Precomputed};
 pub use ranked::RankedList;
 pub use rknn::{rknn_demand, route_service_distance, RknnDemand, RknnParams};
-pub use scorer::{online_increment_in, ConnScorer};
+pub use scorer::online_increment_in;
 pub use serve::{
     validate_ticket, CommitOutcome, CommitTicket, ServePolicy, ServeState, ServeStats, Snapshot,
 };

@@ -19,7 +19,6 @@ use serde::{Deserialize, Serialize};
 /// let p = Parallelism::default();
 /// assert_eq!(p.threads, 0); // 0 = use all available cores
 /// assert!(p.worker_threads() >= 1);
-/// assert_eq!(Parallelism::sequential().worker_threads(), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
@@ -38,11 +37,6 @@ impl Parallelism {
     /// All available cores, default batch size.
     pub fn auto() -> Self {
         Parallelism { threads: 0, batch: 64 }
-    }
-
-    /// Single-threaded execution (same batch semantics, inline).
-    pub fn sequential() -> Self {
-        Parallelism { threads: 1, batch: 64 }
     }
 
     /// The resolved worker count (`threads`, or the machine's available
@@ -159,8 +153,10 @@ impl CtBusParams {
         if !(0.0..=1.0).contains(&self.w) {
             problems.push(format!("w must be in [0, 1], got {}", self.w));
         }
-        if self.tau_m <= 0.0 {
-            problems.push("tau_m must be positive".into());
+        // Written so NaN fails too: a NaN or infinite τ would silently
+        // empty or explode the candidate pool.
+        if !(self.tau_m > 0.0 && self.tau_m.is_finite()) {
+            problems.push(format!("tau_m must be positive and finite, got {}", self.tau_m));
         }
         if self.trace_probes == 0 {
             problems.push("trace_probes must be positive".into());
@@ -168,8 +164,11 @@ impl CtBusParams {
         if self.lanczos_steps == 0 {
             problems.push("lanczos_steps must be positive".into());
         }
-        if self.max_detour_factor < 1.0 {
-            problems.push("max_detour_factor must be at least 1".into());
+        if !(self.max_detour_factor >= 1.0 && self.max_detour_factor.is_finite()) {
+            problems.push(format!(
+                "max_detour_factor must be finite and at least 1, got {}",
+                self.max_detour_factor
+            ));
         }
         if self.parallelism.batch == 0 {
             problems.push("parallelism.batch must be at least 1".into());
@@ -203,6 +202,15 @@ mod tests {
         p.tau_m = -1.0;
         let problems = p.validate();
         assert_eq!(problems.len(), 3);
+
+        // Non-finite values pass `<`/`<=` range tests, so each is checked.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut p = CtBusParams::paper_defaults();
+            p.w = bad;
+            p.tau_m = bad;
+            p.max_detour_factor = bad;
+            assert_eq!(p.validate().len(), 3, "{bad}: {:?}", p.validate());
+        }
     }
 
     #[test]

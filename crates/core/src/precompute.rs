@@ -188,39 +188,35 @@ impl Precomputed {
         head: Option<SpectrumHead>,
     ) -> Precomputed {
         let base_lambda = base_trace.ln() - (base_adj.n() as f64).ln();
-
         let ld = RankedList::new(&candidates.demand_values());
         let llambda = RankedList::new(&delta);
-        let d_max = ld.top_k_sum(params.k).max(f64::MIN_POSITIVE);
-        let lambda_max = llambda.top_k_sum(params.k).max(f64::MIN_POSITIVE);
-
-        // Eq. 11: integrated per-edge objective increment.
-        let le_values: Vec<f64> = candidates
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| params.w * e.demand / d_max + (1.0 - params.w) * delta[i] / lambda_max)
-            .collect();
-        let le = RankedList::new(&le_values);
-
         let (top_eigs, spectrum_basis) = match head {
             Some(head) => (head.values, Some(Arc::new(head.vectors))),
             None => (Vec::new(), None),
         };
-        let conn_path_ub = conn_path_ub(base_lambda, &top_eigs, params.k, &base_adj);
+        let tail = Tail::new(
+            &candidates,
+            &delta,
+            &ld,
+            &llambda,
+            base_lambda,
+            &top_eigs,
+            &base_adj,
+            params,
+        );
 
         Precomputed {
             candidates,
             delta,
             ld,
             llambda,
-            le,
-            d_max,
-            lambda_max,
+            le: tail.le,
+            d_max: tail.d_max,
+            lambda_max: tail.lambda_max,
             base_lambda,
             base_trace,
             top_eigs,
-            conn_path_ub,
+            conn_path_ub: tail.conn_path_ub,
             spectrum_basis,
             estimator,
             base_adj,
@@ -230,7 +226,12 @@ impl Precomputed {
 
     /// Normalized Eq. 3 objective for raw demand and connectivity values.
     pub fn objective(&self, w: f64, demand: f64, conn_increment: f64) -> f64 {
-        w * demand / self.d_max + (1.0 - w) * conn_increment / self.lambda_max
+        normalized_objective(w, demand, self.d_max, conn_increment, self.lambda_max)
+    }
+
+    /// `L_e(w)` per candidate id (Eq. 11) under this state's normalizers.
+    pub(crate) fn le_values(&self, w: f64) -> Vec<f64> {
+        le_values(&self.candidates, &self.delta, w, self.d_max, self.lambda_max)
     }
 
     /// Re-derives the parameter-dependent artifacts (Eq. 12 normalizers,
@@ -240,35 +241,84 @@ impl Precomputed {
     /// Parameter sweeps (Table 7, Figs. 10–12) rely on this: the candidate
     /// pool and per-edge increments are `k`- and `w`-independent.
     pub fn reparameterize(&self, params: &CtBusParams) -> Precomputed {
-        let d_max = self.ld.top_k_sum(params.k).max(f64::MIN_POSITIVE);
-        let lambda_max = self.llambda.top_k_sum(params.k).max(f64::MIN_POSITIVE);
-        let le_values: Vec<f64> = self
-            .candidates
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                params.w * e.demand / d_max + (1.0 - params.w) * self.delta[i] / lambda_max
-            })
-            .collect();
-        let conn_path_ub = conn_path_ub(self.base_lambda, &self.top_eigs, params.k, &self.base_adj);
+        let tail = Tail::new(
+            &self.candidates,
+            &self.delta,
+            &self.ld,
+            &self.llambda,
+            self.base_lambda,
+            &self.top_eigs,
+            &self.base_adj,
+            params,
+        );
         Precomputed {
             candidates: self.candidates.clone(),
             delta: self.delta.clone(),
             ld: self.ld.clone(),
             llambda: self.llambda.clone(),
-            le: RankedList::new(&le_values),
-            d_max,
-            lambda_max,
+            le: tail.le,
+            d_max: tail.d_max,
+            lambda_max: tail.lambda_max,
             base_lambda: self.base_lambda,
             base_trace: self.base_trace,
             top_eigs: self.top_eigs.clone(),
-            conn_path_ub,
+            conn_path_ub: tail.conn_path_ub,
             spectrum_basis: self.spectrum_basis.clone(),
             estimator: self.estimator.clone(),
             base_adj: self.base_adj.clone(),
             timings: self.timings,
         }
+    }
+}
+
+/// The normalized Eq. 3 objective `w·d/d_max + (1−w)·c/λ_max`, written
+/// once so every caller rounds it identically.
+fn normalized_objective(w: f64, demand: f64, d_max: f64, conn: f64, lambda_max: f64) -> f64 {
+    w * demand / d_max + (1.0 - w) * conn / lambda_max
+}
+
+/// `L_e(w)` per candidate id (Eq. 11): each edge's own normalized objective.
+fn le_values(
+    candidates: &CandidateSet,
+    delta: &[f64],
+    w: f64,
+    d_max: f64,
+    lambda_max: f64,
+) -> Vec<f64> {
+    candidates
+        .edges()
+        .iter()
+        .zip(delta)
+        .map(|(e, &d)| normalized_objective(w, e.demand, d_max, d, lambda_max))
+        .collect()
+}
+
+/// The `k`/`w`-dependent tail of the pre-computation: the Eq. 12
+/// normalizers, the ranked `L_e` and the Lemma 4 path bound.
+struct Tail {
+    d_max: f64,
+    lambda_max: f64,
+    le: RankedList,
+    conn_path_ub: f64,
+}
+
+impl Tail {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        candidates: &CandidateSet,
+        delta: &[f64],
+        ld: &RankedList,
+        llambda: &RankedList,
+        base_lambda: f64,
+        top_eigs: &[f64],
+        base_adj: &CsrMatrix,
+        params: &CtBusParams,
+    ) -> Tail {
+        let d_max = ld.top_k_sum(params.k).max(f64::MIN_POSITIVE);
+        let lambda_max = llambda.top_k_sum(params.k).max(f64::MIN_POSITIVE);
+        let le = RankedList::new(&le_values(candidates, delta, params.w, d_max, lambda_max));
+        let conn_path_ub = conn_path_ub(base_lambda, top_eigs, params.k, base_adj);
+        Tail { d_max, lambda_max, le, conn_path_ub }
     }
 }
 
@@ -659,7 +709,7 @@ mod tests {
         assert!(overlap > 0.5, "top-quartile rank overlap only {overlap:.2}");
 
         // Magnitudes agree within a modest factor for the strongest edges.
-        let strongest = perturbed.llambda.id_by_rank(0);
+        let strongest = perturbed.llambda.iter_desc().next().unwrap();
         let p = perturbed.delta[strongest as usize];
         let r = reference.delta[strongest as usize];
         assert!(p > 0.0 && r > 0.0);

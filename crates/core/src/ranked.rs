@@ -60,11 +60,6 @@ impl RankedList {
         self.value_of[self.order[i] as usize]
     }
 
-    /// Candidate id holding rank `i` (0-based).
-    pub fn id_by_rank(&self, i: usize) -> u32 {
-        self.order[i]
-    }
-
     /// 0-based rank of candidate `id`.
     pub fn rank(&self, id: u32) -> usize {
         self.rank_of[id as usize] as usize
@@ -156,7 +151,7 @@ mod tests {
         let l = list();
         assert_eq!(l.len(), 5);
         assert_eq!(l.value_by_rank(0), 9.0);
-        assert_eq!(l.id_by_rank(0), 1);
+        assert_eq!(l.iter_desc().next(), Some(1));
         assert_eq!(l.rank(1), 0);
         assert_eq!(l.rank(2), 4);
         assert_eq!(l.top_k_sum(3), 21.0); // 9 + 7 + 5
@@ -166,8 +161,7 @@ mod tests {
     #[test]
     fn ties_break_by_id() {
         let l = RankedList::new(&[2.0, 2.0, 2.0]);
-        assert_eq!(l.id_by_rank(0), 0);
-        assert_eq!(l.id_by_rank(2), 2);
+        assert_eq!(l.iter_desc().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]

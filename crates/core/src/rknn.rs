@@ -96,17 +96,6 @@ pub struct RknnDemand {
     pub total: usize,
 }
 
-impl RknnDemand {
-    /// Supporters as a fraction of the whole corpus.
-    pub fn support_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.supporters as f64 / self.total as f64
-        }
-    }
-}
-
 /// Counts the reverse-k-nearest trajectories of a candidate route.
 ///
 /// The candidate is a stop-position sequence (use
@@ -245,7 +234,6 @@ mod tests {
         assert_eq!(d.supporters, 0);
         assert_eq!(d.reachable, 0);
         assert!(d.total > 0);
-        assert_eq!(d.support_fraction(), 0.0);
     }
 
     #[test]

@@ -1,104 +1,20 @@
-//! Connectivity scoring backends for the planner.
+//! Online connectivity scoring for the planner.
 //!
 //! The planner asks one question over and over: *by how much does this set
-//! of new edges raise the network's natural connectivity?* Three backends
-//! answer it, trading accuracy for speed exactly along the paper's axis:
-//!
-//! * [`ConnScorer::Exact`] — full eigendecomposition; test oracle only;
-//! * [`ConnScorer::Online`] — stochastic Lanczos quadrature with frozen
-//!   probes (the paper's "ETA" with §5 acceleration);
-//! * [`ConnScorer::Linear`] — the §6 pre-computed surrogate
-//!   `Oλ(μ) ≈ Σ_{e∈μ} Δ(e)` ("ETA-Pre").
+//! of new edges raise the network's natural connectivity?* The online
+//! modes answer it with stochastic Lanczos quadrature under frozen probes
+//! (the paper's "ETA" with §5 acceleration); the pre-computed modes sum
+//! the §6 per-edge increments `Δ(e)` instead ("ETA-Pre").
 
-use std::cell::RefCell;
-
-use ct_linalg::{
-    natural_connectivity_exact, ConnectivityEstimator, CsrMatrix, EdgeOverlay, LanczosWorkspace,
-};
-
-use crate::candidates::CandidateSet;
-
-/// A connectivity-increment scorer over candidate-edge paths.
-pub enum ConnScorer<'a> {
-    /// Exact eigendecomposition of the augmented network (slow; tests).
-    Exact {
-        /// Base adjacency.
-        base: &'a CsrMatrix,
-        /// `λ(Gr)` of the base network.
-        base_lambda: f64,
-    },
-    /// Paired-probe SLQ estimate of the augmented network.
-    Online {
-        /// The frozen-probe estimator.
-        est: &'a ConnectivityEstimator,
-        /// `tr(e^A)` of the base network under the same probes.
-        base_trace: f64,
-        /// Reusable overlay view of the base adjacency plus Lanczos
-        /// scratch (boxed to keep the enum small). A `ConnScorer` value is
-        /// one scoring *context* — not shared across threads — so interior
-        /// mutability keeps [`ConnScorer::increment`] callable through
-        /// `&self` while paths are scored allocation-free in steady state.
-        /// The parallel ETA engine gives each worker its own scratch and
-        /// scores through [`online_increment_in`] directly.
-        scratch: Box<RefCell<(EdgeOverlay<'a>, LanczosWorkspace)>>,
-    },
-    /// Linear surrogate from pre-computed per-edge increments.
-    Linear {
-        /// `Δ(e)` indexed by candidate id (0 for existing edges).
-        delta: &'a [f64],
-    },
-}
-
-impl<'a> ConnScorer<'a> {
-    /// Builds the paired-probe SLQ scorer over `base`.
-    pub fn online(
-        est: &'a ConnectivityEstimator,
-        base: &'a CsrMatrix,
-        base_trace: f64,
-    ) -> ConnScorer<'a> {
-        ConnScorer::Online {
-            est,
-            base_trace,
-            scratch: Box::new(RefCell::new((EdgeOverlay::empty(base), LanczosWorkspace::new()))),
-        }
-    }
-
-    /// Connectivity increment `Oλ` for a path given by candidate ids.
-    pub fn increment(&self, cand_ids: &[u32], cands: &CandidateSet) -> f64 {
-        match self {
-            ConnScorer::Exact { base, base_lambda } => {
-                let pairs = cands.new_stop_pairs(cand_ids);
-                if pairs.is_empty() {
-                    return 0.0;
-                }
-                let augmented = base.with_added_unit_edges(&pairs);
-                natural_connectivity_exact(&augmented).map(|l| l - base_lambda).unwrap_or(0.0)
-            }
-            ConnScorer::Online { est, base_trace, scratch } => {
-                let pairs = cands.new_stop_pairs(cand_ids);
-                if pairs.is_empty() {
-                    return 0.0;
-                }
-                let (overlay, ws) = &mut *scratch.borrow_mut();
-                online_increment_in(est, *base_trace, overlay, ws, &pairs)
-            }
-            ConnScorer::Linear { delta } => cand_ids.iter().map(|&id| delta[id as usize]).sum(),
-        }
-    }
-
-    /// Whether this scorer is the pre-computed linear surrogate.
-    pub fn is_linear(&self) -> bool {
-        matches!(self, ConnScorer::Linear { .. })
-    }
-}
+use ct_linalg::{ConnectivityEstimator, EdgeOverlay, LanczosWorkspace};
 
 /// The online (paired-probe SLQ) connectivity increment for the new stop
 /// pairs `pairs`, scored through caller-owned scratch.
 ///
-/// This is the workhorse behind both [`ConnScorer::Online`] and the
-/// parallel ETA engine's per-worker contexts: the overlay view scores the
-/// augmented network without rebuilding the CSR (bit-identical to
-/// materializing), and the overlay/workspace buffers are reused across
+/// Every online score goes through here, from the parallel ETA engine's
+/// per-worker contexts to the final re-score of a plan: the overlay view
+/// scores the augmented network without rebuilding the CSR (bit-identical
+/// to materializing), and the overlay/workspace buffers are reused across
 /// paths, so steady-state scoring performs no heap allocations. The result
 /// is a pure function of `pairs` and the estimator's frozen probes —
 /// caller-owned scratch is what makes the engine's output independent of
@@ -123,8 +39,9 @@ pub fn online_increment_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::CtBusParams;
+    use crate::candidates::CandidateSet;
     use ct_data::{CityConfig, DemandModel};
+    use ct_linalg::natural_connectivity_exact;
     use ct_linalg::trace::TraceParams;
 
     #[test]
@@ -139,15 +56,16 @@ mod tests {
         let est = ConnectivityEstimator::new(base.n(), &params, 1);
         let base_trace = est.trace_exp(&base).unwrap();
 
-        let exact = ConnScorer::Exact { base: &base, base_lambda };
-        let online = ConnScorer::online(&est, &base, base_trace);
-
         // A few new candidates as a pseudo-path.
         let new_ids: Vec<u32> =
             (0..cands.len() as u32).filter(|&i| !cands.edge(i).existing).take(4).collect();
         assert!(!new_ids.is_empty());
-        let e = exact.increment(&new_ids, &cands);
-        let o = online.increment(&new_ids, &cands);
+        let pairs = cands.new_stop_pairs(&new_ids);
+        let augmented = base.with_added_unit_edges(&pairs);
+        let e = natural_connectivity_exact(&augmented).unwrap() - base_lambda;
+        let mut overlay = EdgeOverlay::empty(&base);
+        let mut ws = LanczosWorkspace::new();
+        let o = online_increment_in(&est, base_trace, &mut overlay, &mut ws, &pairs);
         assert!(e > 0.0);
         assert!((e - o).abs() < 0.5 * e + 1e-4, "exact {e} vs online {o}");
     }
@@ -158,22 +76,15 @@ mod tests {
         let demand = DemandModel::from_city(&city);
         let cands = CandidateSet::build(&city, &demand, 450.0, 6.0);
         let base = city.transit.adjacency_matrix();
-        let base_lambda = natural_connectivity_exact(&base).unwrap();
-        let exact = ConnScorer::Exact { base: &base, base_lambda };
+        let est = ConnectivityEstimator::new(base.n(), &TraceParams::default(), 1);
+        let base_trace = est.trace_exp(&base).unwrap();
         let existing: Vec<u32> =
             (0..cands.len() as u32).filter(|&i| cands.edge(i).existing).take(3).collect();
-        assert_eq!(exact.increment(&existing, &cands), 0.0);
-    }
-
-    #[test]
-    fn linear_sums_deltas() {
-        let city = CityConfig::small().seed(5).generate();
-        let demand = DemandModel::from_city(&city);
-        let params = CtBusParams::small_defaults();
-        let cands = CandidateSet::build(&city, &demand, params.tau_m, params.max_detour_factor);
-        let delta: Vec<f64> = (0..cands.len()).map(|i| i as f64 * 0.001).collect();
-        let s = ConnScorer::Linear { delta: &delta };
-        assert!((s.increment(&[1, 3], &cands) - 0.004).abs() < 1e-12);
-        assert!(s.is_linear());
+        assert!(!existing.is_empty());
+        let pairs = cands.new_stop_pairs(&existing);
+        assert!(pairs.is_empty());
+        let mut overlay = EdgeOverlay::empty(&base);
+        let mut ws = LanczosWorkspace::new();
+        assert_eq!(online_increment_in(&est, base_trace, &mut overlay, &mut ws, &pairs), 0.0);
     }
 }

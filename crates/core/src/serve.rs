@@ -232,18 +232,6 @@ impl CommitOutcome {
     pub fn is_applied(&self) -> bool {
         matches!(self, CommitOutcome::Applied { .. })
     }
-
-    /// True iff the commit was rejected without being applied but is
-    /// worth retrying (stale base or shed under load) — as opposed to
-    /// [`CommitOutcome::Invalid`], which can never succeed.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            CommitOutcome::Stale { .. }
-                | CommitOutcome::Overloaded { .. }
-                | CommitOutcome::Failed { .. }
-        )
-    }
 }
 
 /// Bounds on how much concurrent commit pressure [`ServeState::commit`]
@@ -409,6 +397,7 @@ impl ServeState {
 
     /// Overrides the overload policy (builder style; call before sharing
     /// the state).
+    // ctlint::allow(dead-pub): the chaos suite (crates/core/tests/serve_chaos.rs) tightens the overload policy through it
     pub fn with_policy(mut self, policy: ServePolicy) -> ServeState {
         self.policy = policy;
         self
@@ -451,6 +440,7 @@ impl ServeState {
 
     /// True iff `snapshot` is still the published state of the world
     /// (lock-free).
+    // ctlint::allow(dead-pub): client API for stale-read checks, exercised by crates/core/tests/serve_concurrency.rs
     pub fn is_current(&self, snapshot: &Snapshot) -> bool {
         snapshot.generation == self.generation()
     }

@@ -82,24 +82,19 @@ pub enum RefreshPolicy {
     #[default]
     Exact,
     /// Incremental re-sweep: only candidates whose road corridors overlap
-    /// the committed route (and, optionally, candidates incident to its
-    /// stops) are re-scored; everything else carries its previous Δ(e)
-    /// forward. The spectrum head is re-converged from the previous
-    /// state's Ritz vectors (every build and commit keeps them) instead of
-    /// fresh probes.
-    Approximate {
-        /// Also re-score candidates incident to the committed route's
-        /// stops, not just corridor-overlapping ones — catches the
-        /// second-order connectivity shift around the new hubs for a
-        /// modest sweep-size increase.
-        include_route_stops: bool,
-    },
+    /// the committed route, plus candidates incident to its stops (the
+    /// second-order connectivity shift around the new hubs), are
+    /// re-scored; everything else carries its previous Δ(e) forward. The
+    /// spectrum head is re-converged from the previous state's Ritz
+    /// vectors (every build and commit keeps them) instead of fresh
+    /// probes.
+    Approximate,
 }
 
 impl RefreshPolicy {
-    /// The recommended approximate tier: route-stop widening on.
+    /// The approximate tier, [`RefreshPolicy::Approximate`].
     pub fn approximate() -> RefreshPolicy {
-        RefreshPolicy::Approximate { include_route_stops: true }
+        RefreshPolicy::Approximate
     }
 
     /// Whether this is the exact (bit-identical) tier.
@@ -262,11 +257,6 @@ impl PlanningSession {
         self.refresh = refresh;
     }
 
-    /// The refresh policy in force.
-    pub fn refresh_policy(&self) -> RefreshPolicy {
-        self.refresh
-    }
-
     /// The current (evolved) city. Its road network and trajectories are
     /// the same `Arc`s the session was opened with — commits never copy
     /// them (pointer-identity is part of the test suite).
@@ -425,7 +415,7 @@ impl PlanningSession {
         let n = pre.candidates.len();
         let (ids, mut delta) = match self.refresh {
             RefreshPolicy::Exact => (new_candidate_ids(&pre.candidates), vec![0.0f64; n]),
-            RefreshPolicy::Approximate { include_route_stops } => {
+            RefreshPolicy::Approximate => {
                 // Promoted (now existing) candidates drop to the 0 a rebuild
                 // would store for them.
                 let mut delta = vec![0.0f64; n];
@@ -436,17 +426,14 @@ impl PlanningSession {
                     }
                 }
                 // Touched = corridor overlap (the demand refresh's own
-                // criterion) ∪ optionally the committed route's stop
-                // neighborhoods.
+                // criterion) ∪ the committed route's stop neighborhoods.
                 let is_new = |&id: &u32| !pre.candidates.edge(id).existing;
                 let mut ids: Vec<u32> = refreshed.iter().copied().filter(is_new).collect();
-                if include_route_stops {
-                    for &stop in &plan.stops {
-                        ids.extend(pre.candidates.incident(stop).iter().copied().filter(is_new));
-                    }
-                    ids.sort_unstable();
-                    ids.dedup();
+                for &stop in &plan.stops {
+                    ids.extend(pre.candidates.incident(stop).iter().copied().filter(is_new));
                 }
+                ids.sort_unstable();
+                ids.dedup();
                 (ids, delta)
             }
         };

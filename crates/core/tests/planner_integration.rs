@@ -45,7 +45,7 @@ fn k_one_returns_single_best_seed() {
     let res = planner.run(PlannerMode::EtaPre);
     assert_eq!(res.best.num_edges(), 1);
     // With k = 1 the best route is exactly the top-L_e candidate.
-    let top = planner.precomputed().le.id_by_rank(0);
+    let top = planner.precomputed().le.iter_desc().next().unwrap();
     assert_eq!(res.best.cand_edges, vec![top]);
 }
 

@@ -256,26 +256,6 @@ fn first_approximate_commit_is_seeded_and_close() {
 }
 
 #[test]
-fn approximate_commit_sweeps_subset_even_without_route_stops() {
-    let (city, demand) = small_city(503);
-    let params = quick_params();
-    let mode = PlannerMode::EtaPre;
-    let narrow = RefreshPolicy::Approximate { include_route_stops: false };
-    let wide = RefreshPolicy::approximate();
-    let (_, narrow_sum) = replay(&city, &demand, params, 3, mode, narrow);
-    let (_, wide_sum) = replay(&city, &demand, params, 3, mode, wide);
-    assert!(!narrow_sum.is_empty() && !wide_sum.is_empty());
-    for (n, w) in narrow_sum.iter().zip(&wide_sum) {
-        assert!(
-            n.swept_candidates <= w.swept_candidates,
-            "narrow sweep {} larger than widened {}",
-            n.swept_candidates,
-            w.swept_candidates
-        );
-    }
-}
-
-#[test]
 fn serve_state_applies_commits_under_approximate_refresh() {
     let (city, demand) = small_city(504);
     let state =
@@ -302,64 +282,62 @@ fn serve_state_applies_commits_under_approximate_refresh() {
 fn approximate_commit_rescores_exactly_the_touched_candidates() {
     let (city, demand) = small_city(505);
     let params = quick_params();
-    for include_route_stops in [true, false] {
-        let policy = RefreshPolicy::Approximate { include_route_stops };
-        let mut exact = PlanningSession::new(city.clone(), demand.clone(), params);
-        let mut approx =
-            PlanningSession::new(city.clone(), demand.clone(), params).with_refresh(policy);
-        let plan = exact.plan(PlannerMode::EtaPre).best;
-        assert!(!plan.is_empty());
-        let before = approx.precomputed().clone();
+    let policy = RefreshPolicy::approximate();
+    let mut exact = PlanningSession::new(city.clone(), demand.clone(), params);
+    let mut approx =
+        PlanningSession::new(city.clone(), demand.clone(), params).with_refresh(policy);
+    let plan = exact.plan(PlannerMode::EtaPre).best;
+    assert!(!plan.is_empty());
+    let before = approx.precomputed().clone();
 
-        let exact_sum = exact.commit(&plan);
-        let approx_sum = approx.commit(&plan);
-        let exact_pre = exact.precomputed();
-        let approx_pre = approx.precomputed();
-        assert_eq!(approx_pre.candidates.edges(), exact_pre.candidates.edges());
+    let exact_sum = exact.commit(&plan);
+    let approx_sum = approx.commit(&plan);
+    let exact_pre = exact.precomputed();
+    let approx_pre = approx.precomputed();
+    assert_eq!(approx_pre.candidates.edges(), exact_pre.candidates.edges());
 
-        // The expected touched set, from the post-commit pool: new
-        // candidates whose corridor meets the committed one, plus (when
-        // widening) new candidates with an endpoint on the route.
-        let corridor: std::collections::HashSet<u32> = plan
-            .cand_edges
-            .iter()
-            .flat_map(|&id| before.candidates.edge(id).road_edges.iter().copied())
-            .collect();
-        let touched: Vec<bool> = approx_pre
-            .candidates
-            .edges()
-            .iter()
-            .map(|e| {
-                !e.existing
-                    && (e.road_edges.iter().any(|r| corridor.contains(r))
-                        || include_route_stops
-                            && (plan.stops.contains(&e.u) || plan.stops.contains(&e.v)))
-            })
-            .collect();
-        let expected = touched.iter().filter(|&&t| t).count();
-        let num_new = approx_pre.candidates.num_new();
-        assert!(expected > 0 && expected < num_new, "touched {expected} of {num_new}");
-        assert_eq!(approx_sum.swept_candidates, expected, "stops={include_route_stops}");
-        assert_eq!(exact_sum.swept_candidates, num_new);
+    // The expected touched set, from the post-commit pool: new
+    // candidates whose corridor meets the committed one, plus new
+    // candidates with an endpoint on the route.
+    let corridor: std::collections::HashSet<u32> = plan
+        .cand_edges
+        .iter()
+        .flat_map(|&id| before.candidates.edge(id).road_edges.iter().copied())
+        .collect();
+    let touched: Vec<bool> = approx_pre
+        .candidates
+        .edges()
+        .iter()
+        .map(|e| {
+            !e.existing
+                && (e.road_edges.iter().any(|r| corridor.contains(r))
+                    || plan.stops.contains(&e.u)
+                    || plan.stops.contains(&e.v))
+        })
+        .collect();
+    let expected = touched.iter().filter(|&&t| t).count();
+    let num_new = approx_pre.candidates.num_new();
+    assert!(expected > 0 && expected < num_new, "touched {expected} of {num_new}");
+    assert_eq!(approx_sum.swept_candidates, expected);
+    assert_eq!(exact_sum.swept_candidates, num_new);
 
-        // Touched candidates are re-scored on the same absorbed matrix with
-        // the same frozen probes as the exact tier; the rest carry their
-        // pre-commit Δ through the promotion permutation.
-        let old_id = before.candidates.pair_lookup();
-        let mut stale = 0;
-        for (id, e) in approx_pre.candidates.edges().iter().enumerate() {
-            if e.existing {
-                continue;
-            }
-            let got = approx_pre.delta[id].to_bits();
-            if touched[id] {
-                assert_eq!(got, exact_pre.delta[id].to_bits(), "touched candidate {id}");
-            } else {
-                let carried = before.delta[old_id[&(e.u, e.v)] as usize];
-                assert_eq!(got, carried.to_bits(), "untouched candidate {id}");
-                stale += usize::from(carried != exact_pre.delta[id]);
-            }
+    // Touched candidates are re-scored on the same absorbed matrix with
+    // the same frozen probes as the exact tier; the rest carry their
+    // pre-commit Δ through the promotion permutation.
+    let old_id = before.candidates.pair_lookup();
+    let mut stale = 0;
+    for (id, e) in approx_pre.candidates.edges().iter().enumerate() {
+        if e.existing {
+            continue;
         }
-        assert!(stale > 0, "no carried Δ differs from the exact re-sweep: the check is vacuous");
+        let got = approx_pre.delta[id].to_bits();
+        if touched[id] {
+            assert_eq!(got, exact_pre.delta[id].to_bits(), "touched candidate {id}");
+        } else {
+            let carried = before.delta[old_id[&(e.u, e.v)] as usize];
+            assert_eq!(got, carried.to_bits(), "untouched candidate {id}");
+            stale += usize::from(carried != exact_pre.delta[id]);
+        }
     }
+    assert!(stale > 0, "no carried Δ differs from the exact re-sweep: the check is vacuous");
 }

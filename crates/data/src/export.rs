@@ -51,11 +51,6 @@ fn route_geometry(city: &City, route_id: u32) -> RouteGeometry {
     RouteGeometry { route_id, num_stops: route.stops.len(), stops }
 }
 
-/// Geometry of one route as a JSON value (Figs. 7–8 substitute).
-pub fn route_geometry_json(city: &City, route_id: u32) -> serde_json::Value {
-    serde_json::to_value(route_geometry(city, route_id)).expect("route geometry serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,7 +68,7 @@ mod tests {
     #[test]
     fn route_geometry_has_coordinates() {
         let city = CityConfig::small().trajectories(10).generate();
-        let v = route_geometry_json(&city, 0);
+        let v = serde_json::to_value(route_geometry(&city, 0)).unwrap();
         let stops = v["stops"].as_array().unwrap();
         assert_eq!(stops.len(), city.transit.route(0).stops.len());
         assert_eq!(stops[0].as_array().unwrap().len(), 2);

@@ -32,7 +32,7 @@ pub mod trajectory;
 
 pub use city::{City, CityStats};
 pub use demand::DemandModel;
-pub use export::{city_summary_json, route_geometry_json};
+pub use export::city_summary_json;
 pub use generator::{CityConfig, CoastSide, GeographyMask};
 pub use geojson::GeoJsonExporter;
 pub use gtfs::{GtfsError, GtfsFeed, GtfsImportStats, StopTimesReader, TripGroup};

@@ -6,6 +6,7 @@ use crate::dijkstra::WeightedGraph;
 
 /// Hop counts from `source` to every node (ignoring weights); unreachable
 /// nodes get `u32::MAX`.
+// ctlint::allow(dead-pub): hop-count API; its callers are bfs::tests and the bfs_hops proptest in crates/graph/tests/properties.rs (ROADMAP item 6)
 pub fn bfs_hops<G: WeightedGraph + ?Sized>(g: &G, source: u32) -> Vec<u32> {
     let n = g.node_count();
     let mut hops = vec![u32::MAX; n];
@@ -49,20 +50,6 @@ pub fn connected_components<G: WeightedGraph + ?Sized>(g: &G) -> Vec<u32> {
     label
 }
 
-/// Size of the largest connected component.
-pub fn largest_component<G: WeightedGraph + ?Sized>(g: &G) -> usize {
-    let labels = connected_components(g);
-    if labels.is_empty() {
-        return 0;
-    }
-    let k = labels.iter().copied().max().unwrap_or(0) as usize + 1;
-    let mut counts = vec![0usize; k];
-    for &l in &labels {
-        counts[l as usize] += 1;
-    }
-    counts.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,13 +85,11 @@ mod tests {
         assert_eq!(labels[1], labels[2]);
         assert_eq!(labels[3], labels[4]);
         assert_ne!(labels[0], labels[3]);
-        assert_eq!(largest_component(&g), 3);
     }
 
     #[test]
     fn empty_graph() {
         let g = RoadNetwork::new(vec![], vec![]);
-        assert_eq!(largest_component(&g), 0);
         assert!(connected_components(&g).is_empty());
     }
 
@@ -114,6 +99,5 @@ mod tests {
         let g = RoadNetwork::new(positions, vec![]);
         let labels = connected_components(&g);
         assert_eq!(labels, vec![0, 1, 2]);
-        assert_eq!(largest_component(&g), 1);
     }
 }

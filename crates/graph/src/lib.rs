@@ -24,12 +24,12 @@ pub mod road;
 pub mod transfers;
 pub mod transit;
 
-pub use bfs::{bfs_hops, connected_components, largest_component};
+pub use bfs::{bfs_hops, connected_components};
 pub use dijkstra::{
     dijkstra_all, dijkstra_bounded, dijkstra_tree, reconstruct_path, shortest_path,
     shortest_paths_batch, PathResult, PathScratch,
 };
-pub use mincut::{edge_connectivity, global_min_cut, min_cut_of, MinCut};
+pub use mincut::{edge_connectivity, global_min_cut, MinCut};
 pub use road::{RoadEdge, RoadNetwork};
 pub use transfers::{min_transfers, TransferIndex};
 pub use transit::{Route, Stop, TransitEdge, TransitNetwork, TransitNetworkBuilder};

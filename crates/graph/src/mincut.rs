@@ -143,20 +143,6 @@ pub fn global_min_cut(num_nodes: usize, edges: &[(u32, u32, f64)]) -> Option<Min
     best
 }
 
-/// Global min cut of any [`WeightedGraph`] (edge weights as given).
-pub fn min_cut_of<G: WeightedGraph + ?Sized>(g: &G) -> Option<MinCut> {
-    let n = g.node_count();
-    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
-    for u in 0..n as u32 {
-        g.for_each_neighbor(u, &mut |v, _e, w| {
-            if u < v {
-                edges.push((u, v, w));
-            }
-        });
-    }
-    global_min_cut(n, &edges)
-}
-
 /// Unweighted edge connectivity: the minimum number of edges whose
 /// removal disconnects the graph (0 if already disconnected).
 pub fn edge_connectivity<G: WeightedGraph + ?Sized>(g: &G) -> Option<usize> {
@@ -320,8 +306,9 @@ mod tests {
         let edges = (0..3).map(|i| RoadEdge { u: i, v: i + 1, length: 1.0 }).collect();
         let road = RoadNetwork::new(positions, edges);
         assert_eq!(edge_connectivity(&road), Some(1));
-        let cut = min_cut_of(&road).unwrap();
-        assert_eq!(cut.weight, 1.0);
+        let weighted: Vec<(u32, u32, f64)> =
+            road.edges().iter().map(|e| (e.u, e.v, e.length)).collect();
+        assert_eq!(global_min_cut(4, &weighted).unwrap().weight, 1.0);
     }
 
     #[test]

@@ -119,6 +119,7 @@ impl RoadNetwork {
     }
 
     /// Total length of all edges, in meters.
+    // ctlint::allow(dead-pub): road-network summary API; its caller is road::tests::total_length (ROADMAP item 6)
     pub fn total_length(&self) -> f64 {
         self.edges.iter().map(|e| e.length).sum()
     }

@@ -1,8 +1,8 @@
 //! Property-based tests for the graph substrate.
 
 use ct_graph::{
-    bfs_hops, connected_components, dijkstra_all, dijkstra_bounded, global_min_cut, min_cut_of,
-    shortest_path, RoadEdge, RoadNetwork, TransferIndex, TransitNetworkBuilder,
+    bfs_hops, connected_components, dijkstra_all, dijkstra_bounded, global_min_cut, shortest_path,
+    RoadEdge, RoadNetwork, TransferIndex, TransitNetworkBuilder,
 };
 use ct_spatial::Point;
 use proptest::prelude::*;
@@ -103,7 +103,9 @@ proptest! {
 
     #[test]
     fn min_cut_weight_bounds_any_single_node_cut(g in road_strategy(16)) {
-        let cut = min_cut_of(&g).expect("graphs have ≥ 3 nodes");
+        let weighted: Vec<(u32, u32, f64)> =
+            g.edges().iter().map(|e| (e.u, e.v, e.length)).collect();
+        let cut = global_min_cut(g.num_nodes(), &weighted).expect("graphs have ≥ 3 nodes");
         // The global min cut is no heavier than isolating any one node.
         for v in 0..g.num_nodes() as u32 {
             let deg_weight: f64 = g.neighbors(v).iter().map(|&(_, e)| g.edge(e).length).sum();

@@ -64,6 +64,7 @@ impl DenseMatrix {
     }
 
     /// Whether the matrix is symmetric to within `tol`.
+    // ctlint::allow(dead-pub): dense-oracle precondition check; its caller is dense::tests::symmetry_detection (ROADMAP item 6)
     pub fn is_symmetric(&self, tol: f64) -> bool {
         for i in 0..self.n {
             for j in (i + 1)..self.n {
@@ -137,6 +138,7 @@ impl DenseMatrix {
     /// Intended for *test oracles* on small matrices: scale so
     /// `‖A/2^s‖₁ ≤ 1/2`, sum the Taylor series to machine precision, then
     /// square `s` times.
+    // ctlint::allow(dead-pub): test oracle for Lanczos e^A v in tests/extensions.rs and tests/properties.rs
     pub fn expm(&self) -> DenseMatrix {
         let n = self.n;
         let norm = self.norm_one();

@@ -3,9 +3,8 @@
 //! [`full_symmetric_eigenvalues`] (Householder + QL) is the exact baseline
 //! the paper calls "Eigen" in Table 2; [`top_symmetric_eigenpairs`] is the
 //! same solve plus the eigenvectors of its largest eigenvalues (the
-//! Rayleigh–Ritz step of the block-Krylov spectrum head);
-//! [`jacobi_eigenvalues`] is an independent O(n³) solver used to
-//! cross-check both in tests.
+//! Rayleigh–Ritz step of the block-Krylov spectrum head). The tests
+//! cross-check both against an independent cyclic Jacobi solver.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -88,113 +87,116 @@ pub fn sparse_symmetric_eigenvalues(a: &CsrMatrix) -> Result<Vec<f64>, LinalgErr
     full_symmetric_eigenvalues(a.to_dense())
 }
 
-/// Cyclic Jacobi eigenvalue iteration; independent cross-check for
-/// [`full_symmetric_eigenvalues`] on small matrices.
-pub fn jacobi_eigenvalues(a: DenseMatrix, max_sweeps: usize) -> Result<Vec<f64>, LinalgError> {
-    jacobi_symmetric_eigen(a, max_sweeps).map(|(d, _)| d)
-}
-
-/// Full eigendecomposition of a dense symmetric matrix via cyclic Jacobi
-/// with rotation accumulation: eigenvalues ascending, `vectors[j]` the unit
-/// eigenvector of `values[j]`.
-///
-/// A test oracle only: an algorithm independent of Householder + QL that
-/// the tests hold [`top_symmetric_eigenpairs`] against. O(n³) per sweep and
-/// tens of sweeps, so no solver in this crate calls it.
-pub fn jacobi_symmetric_eigen(
-    mut a: DenseMatrix,
-    max_sweeps: usize,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), LinalgError> {
-    let n = a.n();
-    if n == 0 {
-        return Err(LinalgError::EmptyInput("matrix"));
-    }
-    if n == 1 {
-        return Ok((vec![a.get(0, 0)], vec![vec![1.0]]));
-    }
-    // Accumulated rotations: column j of `v` converges to eigenvector j.
-    let mut v = DenseMatrix::zeros(n);
-    for i in 0..n {
-        v.set(i, i, 1.0);
-    }
-    let sorted = |a: &DenseMatrix, v: &DenseMatrix| -> (Vec<f64>, Vec<Vec<f64>>) {
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.sort_by(|&x, &y| a.get(x, x).partial_cmp(&a.get(y, y)).expect("finite eigenvalues"));
-        let values = idx.iter().map(|&j| a.get(j, j)).collect();
-        let vectors = idx.iter().map(|&j| (0..n).map(|i| v.get(i, j)).collect()).collect();
-        (values, vectors)
-    };
-    let off = |m: &DenseMatrix| -> f64 {
-        let mut s = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                s += m.get(i, j) * m.get(i, j);
-            }
-        }
-        s
-    };
-    let frob0: f64 = {
-        let mut s = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                s += a.get(i, j) * a.get(i, j);
-            }
-        }
-        s.sqrt().max(1.0)
-    };
-    let tol = (f64::EPSILON * frob0).powi(2);
-
-    for _ in 0..max_sweeps {
-        // Converged when the off-diagonal mass is negligible *or* a full
-        // sweep performs no rotations (every entry is below the skip
-        // threshold — the off-based test alone can stall just above it).
-        if off(&a) <= tol {
-            return Ok(sorted(&a, &v));
-        }
-        let mut rotated = false;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = a.get(p, q);
-                if apq.abs() <= f64::EPSILON * frob0 {
-                    continue;
-                }
-                rotated = true;
-                let theta = (a.get(q, q) - a.get(p, p)) / (2.0 * apq);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // Apply the rotation J(p, q, θ)ᵀ A J(p, q, θ).
-                for k in 0..n {
-                    let akp = a.get(k, p);
-                    let akq = a.get(k, q);
-                    a.set(k, p, c * akp - s * akq);
-                    a.set(k, q, s * akp + c * akq);
-                }
-                for k in 0..n {
-                    let apk = a.get(p, k);
-                    let aqk = a.get(q, k);
-                    a.set(p, k, c * apk - s * aqk);
-                    a.set(q, k, s * apk + c * aqk);
-                }
-                // Accumulate into V: V ← V · J(p, q, θ).
-                for k in 0..n {
-                    let vkp = v.get(k, p);
-                    let vkq = v.get(k, q);
-                    v.set(k, p, c * vkp - s * vkq);
-                    v.set(k, q, s * vkp + c * vkq);
-                }
-            }
-        }
-        if !rotated {
-            return Ok(sorted(&a, &v));
-        }
-    }
-    Err(LinalgError::NonConvergence { routine: "jacobi", max_iters: max_sweeps })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Cyclic Jacobi eigenvalue iteration; independent cross-check for
+    /// [`full_symmetric_eigenvalues`] on small matrices.
+    fn jacobi_eigenvalues(a: DenseMatrix, max_sweeps: usize) -> Result<Vec<f64>, LinalgError> {
+        jacobi_symmetric_eigen(a, max_sweeps).map(|(d, _)| d)
+    }
+
+    /// Full eigendecomposition of a dense symmetric matrix via cyclic Jacobi
+    /// with rotation accumulation: eigenvalues ascending, `vectors[j]` the unit
+    /// eigenvector of `values[j]`.
+    ///
+    /// An algorithm independent of Householder + QL that the tests hold
+    /// [`top_symmetric_eigenpairs`] against. O(n³) per sweep and tens of
+    /// sweeps, so no solver calls it.
+    fn jacobi_symmetric_eigen(
+        mut a: DenseMatrix,
+        max_sweeps: usize,
+    ) -> Result<(Vec<f64>, Vec<Vec<f64>>), LinalgError> {
+        let n = a.n();
+        if n == 0 {
+            return Err(LinalgError::EmptyInput("matrix"));
+        }
+        if n == 1 {
+            return Ok((vec![a.get(0, 0)], vec![vec![1.0]]));
+        }
+        // Accumulated rotations: column j of `v` converges to eigenvector j.
+        let mut v = DenseMatrix::zeros(n);
+        for i in 0..n {
+            v.set(i, i, 1.0);
+        }
+        let sorted = |a: &DenseMatrix, v: &DenseMatrix| -> (Vec<f64>, Vec<Vec<f64>>) {
+            let mut idx: Vec<usize> = (0..n).collect();
+            idx.sort_by(|&x, &y| {
+                a.get(x, x).partial_cmp(&a.get(y, y)).expect("finite eigenvalues")
+            });
+            let values = idx.iter().map(|&j| a.get(j, j)).collect();
+            let vectors = idx.iter().map(|&j| (0..n).map(|i| v.get(i, j)).collect()).collect();
+            (values, vectors)
+        };
+        let off = |m: &DenseMatrix| -> f64 {
+            let mut s = 0.0;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    s += m.get(i, j) * m.get(i, j);
+                }
+            }
+            s
+        };
+        let frob0: f64 = {
+            let mut s = 0.0;
+            for i in 0..n {
+                for j in 0..n {
+                    s += a.get(i, j) * a.get(i, j);
+                }
+            }
+            s.sqrt().max(1.0)
+        };
+        let tol = (f64::EPSILON * frob0).powi(2);
+
+        for _ in 0..max_sweeps {
+            // Converged when the off-diagonal mass is negligible *or* a full
+            // sweep performs no rotations (every entry is below the skip
+            // threshold — the off-based test alone can stall just above it).
+            if off(&a) <= tol {
+                return Ok(sorted(&a, &v));
+            }
+            let mut rotated = false;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let apq = a.get(p, q);
+                    if apq.abs() <= f64::EPSILON * frob0 {
+                        continue;
+                    }
+                    rotated = true;
+                    let theta = (a.get(q, q) - a.get(p, p)) / (2.0 * apq);
+                    let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                    let c = 1.0 / (t * t + 1.0).sqrt();
+                    let s = t * c;
+                    // Apply the rotation J(p, q, θ)ᵀ A J(p, q, θ).
+                    for k in 0..n {
+                        let akp = a.get(k, p);
+                        let akq = a.get(k, q);
+                        a.set(k, p, c * akp - s * akq);
+                        a.set(k, q, s * akp + c * akq);
+                    }
+                    for k in 0..n {
+                        let apk = a.get(p, k);
+                        let aqk = a.get(q, k);
+                        a.set(p, k, c * apk - s * aqk);
+                        a.set(q, k, s * apk + c * aqk);
+                    }
+                    // Accumulate into V: V ← V · J(p, q, θ).
+                    for k in 0..n {
+                        let vkp = v.get(k, p);
+                        let vkq = v.get(k, q);
+                        v.set(k, p, c * vkp - s * vkq);
+                        v.set(k, q, s * vkp + c * vkq);
+                    }
+                }
+            }
+            if !rotated {
+                return Ok(sorted(&a, &v));
+            }
+        }
+        Err(LinalgError::NonConvergence { routine: "jacobi", max_iters: max_sweeps })
+    }
 
     fn random_symmetric(n: usize, seed: u64) -> DenseMatrix {
         // Tiny xorshift so this test has no RNG dependency.
@@ -420,5 +422,33 @@ mod tests {
         let eigs = full_symmetric_eigenvalues(a).unwrap();
         let sum: f64 = eigs.iter().sum();
         assert!((tr - sum).abs() < 1e-9);
+    }
+
+    proptest! {
+        #[test]
+        fn tridiag_ql_matches_jacobi(
+            diag in proptest::collection::vec(-10.0f64..10.0, 2..24),
+            seed in 0u64..100,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let n = diag.len();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let off: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-5.0..5.0)).collect();
+
+            let ql = tridiag_eigenvalues(&diag, &off).unwrap();
+
+            let mut dense = DenseMatrix::zeros(n);
+            for i in 0..n {
+                dense.set(i, i, diag[i]);
+            }
+            for i in 0..n - 1 {
+                dense.set(i, i + 1, off[i]);
+                dense.set(i + 1, i, off[i]);
+            }
+            let jac = jacobi_eigenvalues(dense, 200).unwrap();
+            for (a, b) in ql.iter().zip(&jac) {
+                prop_assert!((a - b).abs() < 1e-8, "QL {a} vs Jacobi {b}");
+            }
+        }
     }
 }

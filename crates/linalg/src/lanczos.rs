@@ -534,24 +534,13 @@ fn scaled_copy<const L: usize>(dst: &mut [[f64; L]], src: &[[f64; L]], s: &[f64;
     }
 }
 
-/// Column `j` of `e^A`, i.e. `e^A e_j`, via Lanczos from the unit vector.
+/// Column `j` of `e^A`, i.e. `e^A e_j`, via Lanczos from the unit vector,
+/// written into `out`.
 ///
 /// For a graph adjacency this is the vector of *communicabilities* between
 /// `j` and every other vertex; entry `u` feeds the first-order trace
 /// perturbation `tr(e^{A+E}) − tr(e^A) ≈ 2(e^A)_{uv}` for a new edge
-/// `(u, v)` (the paper's §8 future-work direction).
-pub fn expm_column<M: MatVec + ?Sized>(
-    a: &M,
-    j: usize,
-    steps: usize,
-) -> Result<Vec<f64>, LinalgError> {
-    let mut ws = LanczosWorkspace::new();
-    let mut out = Vec::new();
-    expm_column_in(a, j, steps, &mut ws, &mut out)?;
-    Ok(out)
-}
-
-/// Workspace-based [`expm_column`] writing into `out`; the unit start vector
+/// `(u, v)` (the paper's §8 future-work direction). The unit start vector
 /// lives in the workspace and is re-zeroed after use, so repeated column
 /// solves (one per endpoint stop in the perturbation Δ(e) method) allocate
 /// nothing once warm.
@@ -785,7 +774,9 @@ mod tests {
         let mut ws = LanczosWorkspace::new();
         let mut out = Vec::new();
         for j in [0usize, 4, 9] {
-            let fresh = expm_column(&a, j, 10).unwrap();
+            let mut unit = vec![0.0; a.n()];
+            unit[j] = 1.0;
+            let fresh = lanczos_expv(&a, &unit, 10).unwrap();
             expm_column_in(&a, j, 10, &mut ws, &mut out).unwrap();
             assert_eq!(fresh, out, "column {j}");
         }

@@ -46,6 +46,7 @@ pub fn laplacian_dense(adj: &CsrMatrix) -> crate::dense::DenseMatrix {
 /// let k3 = CsrMatrix::from_undirected_edges(3, &[(0, 1), (1, 2), (0, 2)]);
 /// assert!((algebraic_connectivity_exact(&k3).unwrap() - 3.0).abs() < 1e-9);
 /// ```
+// ctlint::allow(dead-pub): dense oracle for algebraic_connectivity in tests/extensions.rs and crates/linalg/tests/properties.rs
 pub fn algebraic_connectivity_exact(adj: &CsrMatrix) -> Result<f64, LinalgError> {
     let n = adj.n();
     if n < 2 {

@@ -12,7 +12,7 @@
 //! * exact full eigendecomposition — Householder tridiagonalization
 //!   ([`householder`]) followed by an implicit-shift QL iteration
 //!   ([`tridiag`]), optionally with the eigenvectors of the largest
-//!   eigenvalues — plus a cyclic Jacobi solver used as a cross-check;
+//!   eigenvalues;
 //! * the Lanczos method for `e^A v` and stochastic Lanczos quadrature (SLQ)
 //!   for `v^T e^A v` ([`lanczos`]);
 //! * Hutchinson's stochastic trace estimator with Gaussian or Rademacher
@@ -44,10 +44,7 @@ pub use connectivity::{
     natural_connectivity_exact, natural_connectivity_from_eigs, ConnectivityEstimator,
 };
 pub use dense::DenseMatrix;
-pub use eig::{
-    full_symmetric_eigenvalues, jacobi_eigenvalues, jacobi_symmetric_eigen,
-    sparse_symmetric_eigenvalues, top_symmetric_eigenpairs,
-};
+pub use eig::{full_symmetric_eigenvalues, sparse_symmetric_eigenvalues, top_symmetric_eigenpairs};
 pub use error::LinalgError;
 pub use lanczos::{
     lanczos_expv, lanczos_expv_in, lanczos_tridiagonalize, lanczos_tridiagonalize_in,

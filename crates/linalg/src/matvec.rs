@@ -174,14 +174,9 @@ impl<'a> EdgeOverlay<'a> {
         self.base
     }
 
-    /// Number of undirected edges the overlay actually adds (duplicates and
-    /// already-present edges excluded).
-    pub fn num_added_edges(&self) -> usize {
-        self.entries.len() / 2
-    }
-
     /// Materializes the augmented matrix (for callers that need a real CSR,
     /// e.g. exact eigendecomposition or committing a pick).
+    // ctlint::allow(dead-pub): materializing counterpart of the overlay; matvec::tests hold it equal to with_added_unit_edges (ROADMAP item 6)
     pub fn to_csr(&self) -> CsrMatrix {
         let undirected: Vec<(u32, u32)> =
             self.entries.iter().filter(|&&(u, v)| u < v).copied().collect();
@@ -296,7 +291,7 @@ mod tests {
     fn overlay_skips_existing_and_self_edges() {
         let a = CsrMatrix::from_undirected_edges(4, &[(0, 1), (1, 2)]);
         let overlay = EdgeOverlay::new(&a, &[(0, 1), (2, 2), (2, 3), (3, 2), (2, 3)]);
-        assert_eq!(overlay.num_added_edges(), 1);
+        assert_eq!(overlay.entries, vec![(2, 3), (3, 2)]);
         let csr = overlay.to_csr();
         assert!(csr.has_edge(2, 3));
         assert_eq!(csr.num_undirected_edges(), 3);
@@ -311,7 +306,7 @@ mod tests {
         let cap = overlay.entries.capacity();
         overlay.set_edges(&adds[..1]);
         assert_eq!(overlay.entries.capacity(), cap, "set_edges reallocated");
-        assert_eq!(overlay.num_added_edges(), 1);
+        assert_eq!(overlay.entries.len(), 2);
     }
 
     #[test]

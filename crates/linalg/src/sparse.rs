@@ -28,6 +28,7 @@ impl CsrMatrix {
 
     /// Builds a weighted symmetric matrix from undirected edges; duplicate
     /// entries have their weights summed.
+    // ctlint::allow(dead-pub): weighted CSR constructor; its caller is sparse::tests::weighted_duplicates_sum (ROADMAP item 6)
     pub fn from_weighted_undirected_edges(n: usize, edges: &[(u32, u32, f64)]) -> Self {
         Self::build(n, edges, false)
     }

@@ -39,6 +39,7 @@ const COLD_WANT_FLOOR: usize = 96;
 ///
 /// Returns fewer than `k` values if the Krylov space is exhausted first
 /// (e.g. highly structured graphs with few distinct eigenvalues).
+// ctlint::allow(dead-pub): single-vector contrast to block Krylov described in the module docs; its caller is topk::tests (ROADMAP item 6)
 pub fn lanczos_topk<M: MatVec + ?Sized, R: Rng + ?Sized>(
     a: &M,
     k: usize,

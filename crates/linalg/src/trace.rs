@@ -11,8 +11,7 @@
 //! * [`PairedTraceEstimator`] holds a *fixed* probe set so that estimates of
 //!   different matrices share randomness. Differences of such estimates —
 //!   the per-edge connectivity increments `Δ(e)` of §6, which are ~1e-4 —
-//!   are then dominated by signal, not probe noise. (Common random numbers;
-//!   see DESIGN.md for why this engineering choice is needed.)
+//!   are then dominated by signal, not probe noise (common random numbers).
 //! * [`hutchpp_trace_exp`] implements Hutch++ (paper ref \[42\]): a low-rank
 //!   sketch captures the heavy eigenvalues exactly and Hutchinson mops up
 //!   the residual, reducing probe complexity from `O(1/ε²)` to `O(1/ε)`.
@@ -160,18 +159,6 @@ impl PairedTraceEstimator {
         }
         Ok(acc / self.num_probes as f64)
     }
-
-    /// Estimates the natural-connectivity difference `λ(A') − λ(A)` with
-    /// shared probes, so that probe noise largely cancels.
-    pub fn lambda_increment<M1: MatVec + ?Sized, M2: MatVec + ?Sized>(
-        &self,
-        a: &M1,
-        a_new: &M2,
-    ) -> Result<f64, LinalgError> {
-        let t0 = self.trace_exp(a)?.max(f64::MIN_POSITIVE);
-        let t1 = self.trace_exp(a_new)?.max(f64::MIN_POSITIVE);
-        Ok((t1 / t0).ln())
-    }
 }
 
 /// Hutch++ estimate of `tr(e^A)` (paper ref \[42\]).
@@ -181,6 +168,7 @@ impl PairedTraceEstimator {
 /// residual. The Lanczos scratch and probe buffer are reused across the
 /// sketch and residual loops; the per-column `Q` storage is load-bearing
 /// (later columns orthogonalize against all earlier ones).
+// ctlint::allow(dead-pub): Hutch++ (paper ref [42]) estimator; its caller is trace::tests (ROADMAP item 6)
 pub fn hutchpp_trace_exp<M: MatVec + ?Sized, R: Rng + ?Sized>(
     a: &M,
     params: &TraceParams,
@@ -370,7 +358,7 @@ mod tests {
         let params = TraceParams { probes: 60, lanczos_steps: 15, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(9);
         let est = PairedTraceEstimator::new(70, &params, &mut rng);
-        let inc = est.lambda_increment(&a, &a_new).unwrap();
+        let inc = (est.trace_exp(&a_new).unwrap() / est.trace_exp(&a).unwrap()).ln();
         // The increment is small; paired probes keep the estimate in the
         // right ballpark (sign + magnitude).
         assert!(

@@ -142,32 +142,16 @@ pub fn tridiag_eigenvalues(diag: &[f64], offdiag: &[f64]) -> Result<Vec<f64>, Li
     Ok(d)
 }
 
-/// Eigenvalues plus the **first row** of the eigenvector matrix.
+/// Eigenvalues plus the **first row** of the eigenvector matrix, written
+/// into caller-owned buffers (cleared and refilled; no reallocation once
+/// their capacity covers `diag.len()`).
 ///
-/// For a tridiagonal `T = Z Θ Zᵀ`, returns pairs `(θ_j, z_{0j})` sorted by
-/// ascending eigenvalue. These are exactly the Gauss quadrature nodes and
-/// weights that stochastic Lanczos quadrature needs: `e₁ᵀ f(T) e₁ =
-/// Σ_j z_{0j}² f(θ_j)`.
-pub fn tridiag_eigen_first_row(
-    diag: &[f64],
-    offdiag: &[f64],
-) -> Result<Vec<(f64, f64)>, LinalgError> {
-    let mut d = Vec::new();
-    let mut e = Vec::new();
-    let mut row = Vec::new();
-    tridiag_eigen_first_row_in(diag, offdiag, &mut d, &mut e, &mut row)?;
-    Ok(d.into_iter().zip(row).collect())
-}
-
-/// Allocation-free variant of [`tridiag_eigen_first_row`] writing into
-/// caller-owned buffers (cleared and refilled; no reallocation once their
-/// capacity covers `diag.len()`).
-///
-/// On success `d` holds the eigenvalues ascending and `row` the matching
-/// first-row eigenvector components; `e` is scratch. The `(θ_j, z_{0j})`
-/// pairing — including the order of equal eigenvalues — is identical to the
-/// allocating version (both sorts are stable), so quadrature sums built from
-/// either are bit-identical.
+/// For a tridiagonal `T = Z Θ Zᵀ`, on success `d` holds the eigenvalues
+/// `θ_j` ascending and `row` the matching first-row components `z_{0j}`;
+/// `e` is scratch. These are exactly the Gauss quadrature nodes and weights
+/// that stochastic Lanczos quadrature needs: `e₁ᵀ f(T) e₁ =
+/// Σ_j z_{0j}² f(θ_j)`. The sort is stable, so equal eigenvalues keep the
+/// order the QL iteration left them in.
 pub fn tridiag_eigen_first_row_in(
     diag: &[f64],
     offdiag: &[f64],
@@ -296,8 +280,9 @@ mod tests {
         // Σ z_{0j}² = 1 because Z is orthogonal.
         let diag = [0.0, 0.0, 0.0, 0.0];
         let off = [1.0, 1.0, 1.0];
-        let pairs = tridiag_eigen_first_row(&diag, &off).unwrap();
-        let s: f64 = pairs.iter().map(|(_, w)| w * w).sum();
+        let (mut d, mut e, mut row) = (Vec::new(), Vec::new(), Vec::new());
+        tridiag_eigen_first_row_in(&diag, &off, &mut d, &mut e, &mut row).unwrap();
+        let s: f64 = row.iter().map(|w| w * w).sum();
         assert!((s - 1.0).abs() < 1e-12);
     }
 
@@ -307,8 +292,9 @@ mod tests {
         use crate::dense::DenseMatrix;
         let diag = [0.2, -0.5, 0.9];
         let off = [0.7, 0.3];
-        let pairs = tridiag_eigen_first_row(&diag, &off).unwrap();
-        let quad: f64 = pairs.iter().map(|(t, w)| w * w * t.exp()).sum();
+        let (mut d, mut e, mut row) = (Vec::new(), Vec::new(), Vec::new());
+        tridiag_eigen_first_row_in(&diag, &off, &mut d, &mut e, &mut row).unwrap();
+        let quad: f64 = d.iter().zip(&row).map(|(t, w)| w * w * t.exp()).sum();
 
         let mut m = DenseMatrix::zeros(3);
         for i in 0..3 {

@@ -2,9 +2,8 @@
 
 use ct_linalg::{
     algebraic_connectivity, algebraic_connectivity_exact, bessel_i, chebyshev_expv,
-    full_symmetric_eigenvalues, jacobi_eigenvalues, lanczos_expv, logsumexp, slq_quadratic_form,
-    slq_quadratic_form_in, tridiag::tridiag_eigenvalues, CsrMatrix, DenseMatrix, EdgeOverlay,
-    LanczosWorkspace, MatVec,
+    full_symmetric_eigenvalues, lanczos_expv, logsumexp, slq_quadratic_form, slq_quadratic_form_in,
+    CsrMatrix, EdgeOverlay, LanczosWorkspace, MatVec,
 };
 use proptest::prelude::*;
 
@@ -41,32 +40,6 @@ fn lanes_match_scalar<const L: usize, M: MatVec>(
 }
 
 proptest! {
-    #[test]
-    fn tridiag_ql_matches_jacobi(
-        diag in proptest::collection::vec(-10.0f64..10.0, 2..24),
-        seed in 0u64..100,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let n = diag.len();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let off: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-5.0..5.0)).collect();
-
-        let ql = tridiag_eigenvalues(&diag, &off).unwrap();
-
-        let mut dense = DenseMatrix::zeros(n);
-        for i in 0..n {
-            dense.set(i, i, diag[i]);
-        }
-        for i in 0..n - 1 {
-            dense.set(i, i + 1, off[i]);
-            dense.set(i + 1, i, off[i]);
-        }
-        let jac = jacobi_eigenvalues(dense, 200).unwrap();
-        for (a, b) in ql.iter().zip(&jac) {
-            prop_assert!((a - b).abs() < 1e-8, "QL {a} vs Jacobi {b}");
-        }
-    }
-
     #[test]
     fn absorb_unit_edges_matches_rebuild(
         g in graph_strategy(24),

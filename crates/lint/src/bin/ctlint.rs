@@ -3,15 +3,16 @@
 //! Usage: `ctlint [--root <path>] [--list-rules]`
 //!
 //! Lints every `.rs` file under `<root>/src` and `<root>/crates/*/src`
-//! with the workspace policy ([`ct_lint::Config::workspace`]) and exits
+//! with the workspace policy ([`ct_lint::Config::workspace`]), reading
+//! examples, benches and perfbench as `dead-pub` callers, and exits
 //! nonzero when any unsuppressed finding remains. With no `--root`, the
 //! workspace root is found by walking up from the current directory to
 //! the first `Cargo.toml` containing `[workspace]`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ct_lint::{rule, Config, Linter};
+use ct_lint::{rule, Config, CALLER_TREES};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -47,44 +48,23 @@ fn main() -> ExitCode {
         }
     };
 
-    let files = match ct_lint::workspace_files(&root) {
-        Ok(f) => f,
+    let report = match ct_lint::lint_workspace(&root, &Config::workspace(), &CALLER_TREES) {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("ctlint: cannot enumerate sources under {}: {e}", root.display());
+            eprintln!("ctlint: cannot read sources under {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    let mut linter = Linter::new(Config::workspace());
-    let mut checked = 0usize;
-    for path in &files {
-        let rel = relative(path, &root);
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ctlint: cannot read {rel}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        linter.check_file(&rel, &src);
-        checked += 1;
-    }
-    let findings = linter.finish();
-    for f in &findings {
+    for f in &report.findings {
         println!("{f}");
     }
-    if findings.is_empty() {
-        println!("ctlint: {checked} files clean");
+    if report.findings.is_empty() {
+        println!("ctlint: {} files clean", report.checked);
         ExitCode::SUCCESS
     } else {
-        println!("ctlint: {} finding(s) in {checked} files", findings.len());
+        println!("ctlint: {} finding(s) in {} files", report.findings.len(), report.checked);
         ExitCode::FAILURE
     }
-}
-
-/// Workspace-relative path with forward slashes (rule scoping keys on it).
-fn relative(path: &Path, root: &Path) -> String {
-    let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
 }
 
 /// Walks up from the current directory to a `Cargo.toml` declaring

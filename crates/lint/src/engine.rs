@@ -1,10 +1,11 @@
-//! The rule engine: file context, suppression comments, and the
-//! cross-file [`Linter`] driver.
+//! The rule engine: file context, suppression comments, the cross-file
+//! [`Linter`], and the [`lint_workspace`] entry point.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{self, Tok};
-use crate::rules::{self, LockEdge};
+use crate::rules::{self, LockEdge, PubFn};
 
 /// Rule identifiers (the names `ctlint::allow(...)` accepts).
 pub mod rule {
@@ -21,14 +22,16 @@ pub mod rule {
     /// Missing `#![forbid(unsafe_code)]` on a crate root, or `unsafe`
     /// appearing anywhere in workspace code.
     pub const FORBID_UNSAFE: &str = "forbid-unsafe";
+    /// A library `pub fn` that no non-test code names.
+    pub const DEAD_PUB: &str = "dead-pub";
     /// Malformed suppression: unknown rule name or missing justification.
     pub const BAD_ALLOW: &str = "bad-allow";
     /// A suppression comment that silenced nothing.
     pub const UNUSED_ALLOW: &str = "unused-allow";
 
     /// Every rule a suppression comment may name.
-    pub const SUPPRESSIBLE: [&str; 5] =
-        [NONDET_ITER, WALL_CLOCK, PANIC_PATH, LOCK_DISCIPLINE, FORBID_UNSAFE];
+    pub const SUPPRESSIBLE: [&str; 6] =
+        [NONDET_ITER, WALL_CLOCK, PANIC_PATH, LOCK_DISCIPLINE, FORBID_UNSAFE, DEAD_PUB];
 }
 
 /// One reported violation.
@@ -74,6 +77,15 @@ pub struct Config {
     /// Crate-root files that must carry `#![forbid(unsafe_code)]`.
     pub forbid_unsafe_libs: Vec<String>,
 }
+
+/// Directories whose `.rs` files [`lint_workspace`] checks with every rule.
+/// A `*` segment stands for each member directory.
+pub const LINT_TREES: [&str; 2] = ["src", "crates/*/src"];
+
+/// Directories `ctlint` reads only as callers for `dead-pub`: examples,
+/// benches and the repository benchmark reach library API without being
+/// library code themselves, so no rule runs on them.
+pub const CALLER_TREES: [&str; 3] = ["examples", "crates/*/benches", "perfbench/src"];
 
 impl Config {
     /// The CT-Bus workspace policy (what `ctlint` and CI enforce).
@@ -211,7 +223,7 @@ impl<'a> FileCtx<'a> {
 
     /// Code index just past the item starting at `ci`: through the
     /// matching `}` of its body, or past a terminating `;`.
-    fn item_end(&self, ci: usize) -> usize {
+    pub fn item_end(&self, ci: usize) -> usize {
         let mut j = ci;
         let mut paren = 0i32;
         while let Some(t) = self.get(j) {
@@ -335,12 +347,23 @@ pub struct Linter {
     findings: Vec<Finding>,
     suppressions: Vec<(String, Vec<Suppression>)>,
     lock_edges: Vec<LockEdge>,
+    /// `pub fn` definitions awaiting the caller count.
+    pub_fns: Vec<PubFn>,
+    /// Non-test identifier tokens outside `use` declarations, by name.
+    idents: BTreeMap<String, usize>,
 }
 
 impl Linter {
     /// A linter enforcing `cfg`.
     pub fn new(cfg: Config) -> Linter {
-        Linter { cfg, findings: Vec::new(), suppressions: Vec::new(), lock_edges: Vec::new() }
+        Linter {
+            cfg,
+            findings: Vec::new(),
+            suppressions: Vec::new(),
+            lock_edges: Vec::new(),
+            pub_fns: Vec::new(),
+            idents: BTreeMap::new(),
+        }
     }
 
     /// Lints one file. `path` must be workspace-relative with forward
@@ -364,6 +387,9 @@ impl Linter {
             rules::lock_discipline(&ctx, &self.cfg, &mut raw, &mut self.lock_edges);
         }
         rules::forbid_unsafe(&ctx, &self.cfg, &mut raw);
+        // A binary's `pub fn`s are unreachable from outside it anyway.
+        let defines_api = !path.split('/').any(|dir| dir == "bin");
+        rules::count_idents(&ctx, &mut self.idents, defines_api.then_some(&mut self.pub_fns));
 
         let mut sup = sup;
         raw.retain(|f| !suppress(&mut sup, f));
@@ -371,16 +397,23 @@ impl Linter {
         self.suppressions.push((path.to_string(), sup));
     }
 
-    /// Finalizes: resolves cross-file lock-ordering conflicts, reports
-    /// unused suppressions, and returns all findings sorted by
-    /// `(path, line, rule)`.
+    /// Reads a file only as a caller: its non-test identifiers keep
+    /// `pub fn`s alive for `dead-pub`, and no rule runs on it.
+    pub fn read_caller(&mut self, path: &str, src: &str) {
+        rules::count_idents(&FileCtx::new(path, src), &mut self.idents, None);
+    }
+
+    /// Finalizes: resolves the cross-file rules (lock-ordering conflicts
+    /// and `dead-pub`), reports unused suppressions, and returns all
+    /// findings sorted by `(path, line, rule)`.
     pub fn finish(mut self) -> Vec<Finding> {
-        let mut order_findings = rules::ordering_conflicts(&self.lock_edges);
-        // Ordering conflicts may still be suppressed at their sites.
+        let mut cross_file = rules::ordering_conflicts(&self.lock_edges);
+        cross_file.extend(rules::dead_pub(&self.pub_fns, &self.idents));
+        // Cross-file findings may still be suppressed at their sites.
         for (path, sup) in &mut self.suppressions {
-            order_findings.retain(|f| f.path != *path || !suppress(sup, f));
+            cross_file.retain(|f| f.path != *path || !suppress(sup, f));
         }
-        self.findings.extend(order_findings);
+        self.findings.extend(cross_file);
         for (path, sup) in &self.suppressions {
             for s in sup.iter().filter(|s| !s.used) {
                 self.findings.push(Finding {
@@ -414,41 +447,76 @@ fn suppress(sup: &mut [Suppression], f: &Finding) -> bool {
     false
 }
 
-/// Lints a single source text under `cfg` (single-file entry point used
-/// by the fixture suite; [`Linter`] is the multi-file driver).
-pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let mut linter = Linter::new(cfg.clone());
-    linter.check_file(path, src);
-    linter.finish()
+/// One source file read by [`workspace_sources`].
+#[derive(Debug, Clone)]
+pub struct Source {
+    /// Workspace-relative path with forward slashes (rule scoping and
+    /// reports key on it).
+    pub path: String,
+    /// File contents.
+    pub text: String,
 }
 
-/// The `.rs` files `ctlint` checks: everything under `<root>/src` and
-/// `<root>/crates/*/src`, sorted for deterministic reports. Test,
-/// bench, and example trees are out of scope by construction (rules
-/// govern shipped code; `#[cfg(test)]` modules inside sources are
-/// skipped token-wise).
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Every `.rs` file under `trees` (workspace-relative directories; a `*`
+/// segment stands for each member directory), sorted by path. Trees that
+/// do not exist contribute nothing.
+pub fn workspace_sources(root: &Path, trees: &[&str]) -> std::io::Result<Vec<Source>> {
     let mut files = Vec::new();
-    let src = root.join("src");
-    if src.is_dir() {
-        collect_rs(&src, &mut files)?;
-    }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut members: Vec<PathBuf> = std::fs::read_dir(&crates)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        members.sort();
-        for member in members {
-            let msrc = member.join("src");
-            if msrc.is_dir() {
-                collect_rs(&msrc, &mut files)?;
+    for tree in trees {
+        let dirs = match tree.split_once("/*/") {
+            None => vec![root.join(tree)],
+            Some((parent, rest)) if root.join(parent).is_dir() => {
+                std::fs::read_dir(root.join(parent))?
+                    .filter_map(|e| e.ok().map(|e| e.path().join(rest)))
+                    .collect()
             }
+            Some(_) => Vec::new(),
+        };
+        for dir in dirs.into_iter().filter(|d| d.is_dir()) {
+            collect_rs(&dir, &mut files)?;
         }
     }
     files.sort();
-    Ok(files)
+    files.dedup();
+    files
+        .into_iter()
+        .map(|file| {
+            let rel = file.strip_prefix(root).unwrap_or(&file);
+            let path = rel
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            let text = std::fs::read_to_string(&file)
+                .map_err(|e| std::io::Error::new(e.kind(), format!("{path}: {e}")))?;
+            Ok(Source { path, text })
+        })
+        .collect()
+}
+
+/// The outcome of [`lint_workspace`].
+#[derive(Debug)]
+pub struct Report {
+    /// Number of files checked (caller-only files not counted).
+    pub checked: usize,
+    /// Unsuppressed findings, sorted by `(path, line, rule)`.
+    pub findings: Vec<Finding>,
+}
+
+/// Lints the workspace at `root`: every file under [`LINT_TREES`] is
+/// checked, and every file under `caller_trees` (`ctlint` passes
+/// [`CALLER_TREES`]) is read as a caller for `dead-pub`. This is the
+/// entry point `ctlint` and the workspace gate test share.
+pub fn lint_workspace(root: &Path, cfg: &Config, caller_trees: &[&str]) -> std::io::Result<Report> {
+    let mut linter = Linter::new(cfg.clone());
+    let checked = workspace_sources(root, &LINT_TREES)?;
+    for file in &checked {
+        linter.check_file(&file.path, &file.text);
+    }
+    for file in workspace_sources(root, caller_trees)? {
+        linter.read_caller(&file.path, &file.text);
+    }
+    Ok(Report { checked: checked.len(), findings: linter.finish() })
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

@@ -6,7 +6,7 @@
 //! commit path, and deadlock-freedom of the single-writer commit queue.
 //! This crate tokenizes the workspace sources with a small hand-rolled
 //! lexer (dependency-free by design — the linter is a CI gate and must
-//! never be the thing that breaks the build) and enforces four rule
+//! never be the thing that breaks the build) and enforces five rule
 //! families over the token streams:
 //!
 //! * `nondet-iter` — iteration over `HashMap`/`HashSet` in the
@@ -17,6 +17,8 @@
 //!   indexing on the panic-free serve path;
 //! * `lock-discipline` — nested lock acquisitions with inconsistent
 //!   ordering, and guards held across planner/apply calls;
+//! * `dead-pub` — library `pub fn`s that no non-test code names
+//!   (examples, benches and perfbench count as callers);
 //!
 //! plus an `unsafe` audit (`forbid-unsafe`). Every rule honours
 //! `// ctlint::allow(<rule>): <reason>` suppressions with a mandatory
@@ -30,5 +32,8 @@ mod engine;
 mod lexer;
 mod rules;
 
-pub use engine::{lint_source, rule, workspace_files, Config, Finding, Linter};
+pub use engine::{
+    lint_workspace, rule, workspace_sources, Config, Finding, Linter, Report, Source, CALLER_TREES,
+    LINT_TREES,
+};
 pub use lexer::{is_keyword, tokenize, Tok, TokKind};

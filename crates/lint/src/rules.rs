@@ -1,4 +1,4 @@
-//! The four rule families.
+//! The rule families.
 //!
 //! Each rule is a pure function over a [`FileCtx`] token stream. They are
 //! deliberately heuristic — token-level pattern matching, not type
@@ -705,4 +705,93 @@ pub(crate) fn ordering_conflicts(edges: &[LockEdge]) -> Vec<Finding> {
         }
     }
     out
+}
+
+/// A `pub fn` definition awaiting the workspace-wide caller count.
+#[derive(Debug)]
+pub(crate) struct PubFn {
+    name: String,
+    path: String,
+    line: u32,
+    /// Identifier tokens carrying the name inside the item itself (its
+    /// own name and any recursive calls), subtracted from the count.
+    own: usize,
+}
+
+/// Counts `ctx`'s non-test identifier tokens outside `use` declarations
+/// into `idents`, and, when `defs` is given, records each `pub fn` the
+/// file defines for [`dead_pub`]. `pub(crate)`/`pub(super)`/`pub(in …)`
+/// fns are not API and are skipped.
+pub(crate) fn count_idents(
+    ctx: &FileCtx,
+    idents: &mut BTreeMap<String, usize>,
+    defs: Option<&mut Vec<PubFn>>,
+) {
+    let mut counted = vec![false; ctx.len()];
+    let mut ci = 0;
+    while ci < ctx.len() {
+        let t = ctx.ct(ci);
+        if t.is_ident("use") && !ctx.excluded[ci] {
+            // `use a::{b, c};` names nothing it calls.
+            while ctx.get(ci).is_some_and(|t| !t.is_punct(';')) {
+                ci += 1;
+            }
+            continue;
+        }
+        if t.kind == crate::lexer::TokKind::Ident && !is_keyword(t.text) && !ctx.excluded[ci] {
+            counted[ci] = true;
+            *idents.entry(t.text.to_string()).or_default() += 1;
+        }
+        ci += 1;
+    }
+    let Some(defs) = defs else { return };
+    for ci in 0..ctx.len() {
+        if ctx.excluded[ci] || !ctx.ct(ci).is_ident("pub") {
+            continue;
+        }
+        let mut j = ci + 1;
+        while ctx.get(j).is_some_and(|t| {
+            t.is_ident("const")
+                || t.is_ident("async")
+                || t.is_ident("unsafe")
+                || t.is_ident("extern")
+                || t.kind == crate::lexer::TokKind::Str
+        }) {
+            j += 1;
+        }
+        if !ctx.get(j).is_some_and(|t| t.is_ident("fn")) {
+            continue;
+        }
+        let Some(name) = ctx.get(j + 1).filter(|t| t.kind == crate::lexer::TokKind::Ident) else {
+            continue;
+        };
+        let end = ctx.item_end(j);
+        let own = (j..end).filter(|&k| counted[k] && ctx.ct(k).text == name.text).count();
+        defs.push(PubFn {
+            name: name.text.to_string(),
+            path: ctx.path.clone(),
+            line: name.line,
+            own,
+        });
+    }
+}
+
+/// Rule: `dead-pub`. A recorded `pub fn` whose name no counted
+/// identifier carries outside its own item has no non-test caller.
+/// Resolved after every file is read, since callers live anywhere.
+pub(crate) fn dead_pub(defs: &[PubFn], idents: &BTreeMap<String, usize>) -> Vec<Finding> {
+    defs.iter()
+        .filter(|d| idents.get(&d.name).copied().unwrap_or(0) <= d.own)
+        .map(|d| Finding {
+            rule: rule::DEAD_PUB,
+            path: d.path.clone(),
+            line: d.line,
+            message: format!(
+                "`pub fn {}` has no caller outside tests: no library, binary, bench, example \
+                 or perfbench code names it; delete it, move it into test scope, or justify \
+                 with `ctlint::allow(dead-pub): <outside caller or documented contract>`",
+                d.name
+            ),
+        })
+        .collect()
 }

@@ -6,7 +6,7 @@
 //! lint report must match the markers exactly — same lines, same rules,
 //! same multiplicity. Known-good fixtures simply carry no markers.
 
-use ct_lint::{lint_source, Config, Linter};
+use ct_lint::{Config, Finding, Linter};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
@@ -40,6 +40,7 @@ fn config_for(stem: &str, path: &str) -> Config {
         "panic_bad" | "suppressed" | "bad_allow" => cfg.panic_paths = fix,
         "lock_bad" | "lock_good" => cfg.lock_paths = fix,
         "unsafe_bad" => cfg.forbid_unsafe_libs = vec![path.to_string()],
+        "dead_pub" => {} // applies to every linted file outside `bin/`
         other => panic!("fixture {other} has no config mapping"),
     }
     cfg
@@ -47,22 +48,29 @@ fn config_for(stem: &str, path: &str) -> Config {
 
 /// Lints `tests/fixtures/<stem>.rs` and compares against its markers.
 fn check(stem: &str) {
+    check_with_callers(stem, &[]);
+}
+
+/// [`check`], with `callers` (fixture file names) read as caller-only
+/// files, the way `ctlint` reads benches, examples and perfbench.
+fn check_with_callers(stem: &str, callers: &[&str]) {
     let src = fixture(&format!("{stem}.rs"));
     let path = format!("fix/{stem}.rs");
-    let cfg = config_for(stem, &path);
+    let mut linter = Linter::new(config_for(stem, &path));
+    linter.check_file(&path, &src);
+    for name in callers {
+        linter.read_caller(&format!("benches/{name}"), &fixture(name));
+    }
+    let findings: Vec<Finding> = linter.finish();
     let mut got: Vec<(u32, String)> =
-        lint_source(&path, &src, &cfg).into_iter().map(|f| (f.line, f.rule.to_string())).collect();
+        findings.iter().map(|f| (f.line, f.rule.to_string())).collect();
     got.sort();
     let want = expected(&src);
     assert_eq!(
         got,
         want,
         "fixture {stem}: findings (left) do not match //~ markers (right);\nreport:\n{}",
-        lint_source(&path, &src, &cfg)
-            .iter()
-            .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
+        findings.iter().map(|f| format!("  {f}")).collect::<Vec<_>>().join("\n")
     );
 }
 
@@ -109,6 +117,35 @@ fn bad_and_stale_allows_are_findings() {
 #[test]
 fn unsafe_audit_flags_missing_attr_and_usage() {
     check("unsafe_bad");
+}
+
+#[test]
+fn dead_pub_flags_fns_without_a_non_test_caller() {
+    check_with_callers("dead_pub", &["dead_pub_caller.rs"]);
+}
+
+#[test]
+fn dead_pub_counts_callers_only_in_caller_files() {
+    // Without the caller file the bench-only fn is dead too, and the
+    // allow over the called fn now silences a real finding.
+    let src = fixture("dead_pub.rs");
+    let mut linter = Linter::new(config_for("dead_pub", "fix/dead_pub.rs"));
+    linter.check_file("fix/dead_pub.rs", &src);
+    let dead: Vec<u32> = linter
+        .finish()
+        .iter()
+        .inspect(|f| assert_eq!(f.rule, "dead-pub", "{f}"))
+        .map(|f| f.line)
+        .collect();
+    let line_of = |name: &str| {
+        src.lines().position(|l| l.contains(&format!("pub fn {name}("))).unwrap() as u32 + 1
+    };
+    let want: Vec<u32> =
+        ["never_called", "called_from_a_bench", "imported_but_never_called", "only_calls_itself"]
+            .into_iter()
+            .map(line_of)
+            .collect();
+    assert_eq!(dead, want);
 }
 
 #[test]

@@ -67,6 +67,7 @@ impl MatchResult {
     }
 
     /// Deduplicated road edges visited by the match, in first-visit order.
+    // ctlint::allow(dead-pub): match-result accessor; its caller is viterbi::tests (ROADMAP item 6)
     pub fn matched_edges(&self) -> Vec<u32> {
         let mut out: Vec<u32> = Vec::new();
         for m in &self.matched {

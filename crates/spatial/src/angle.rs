@@ -39,6 +39,7 @@ impl TurnClass {
 }
 
 /// Heading of the segment `a → b` in radians in `(-π, π]`, measured from +x.
+// ctlint::allow(dead-pub): geometry API; its caller is angle::tests::heading_cardinal_directions (ROADMAP item 6)
 pub fn heading(a: &Point, b: &Point) -> f64 {
     (b.y - a.y).atan2(b.x - a.x)
 }

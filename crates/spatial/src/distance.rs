@@ -6,6 +6,7 @@ use crate::point::GeoPoint;
 pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// Great-circle distance between two WGS84 points, in meters (haversine).
+// ctlint::allow(dead-pub): geodesic API named in the crate docs; its callers are distance::tests (ROADMAP item 6)
 pub fn haversine_m(a: &GeoPoint, b: &GeoPoint) -> f64 {
     let (la1, la2) = (a.lat.to_radians(), b.lat.to_radians());
     let dlat = (b.lat - a.lat).to_radians();
@@ -18,6 +19,7 @@ pub fn haversine_m(a: &GeoPoint, b: &GeoPoint) -> f64 {
 ///
 /// Within ~0.1% of haversine at city scales; used in hot loops where the
 /// exact great-circle distance is overkill.
+// ctlint::allow(dead-pub): geodesic API named in the crate docs; its caller is distance::tests (ROADMAP item 6)
 pub fn equirectangular_m(a: &GeoPoint, b: &GeoPoint) -> f64 {
     let x = (b.lon - a.lon).to_radians() * ((a.lat + b.lat) / 2.0).to_radians().cos();
     let y = (b.lat - a.lat).to_radians();

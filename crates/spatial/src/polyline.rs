@@ -44,6 +44,7 @@ impl Polyline {
     }
 
     /// Number of junctions whose deflection classifies as a turn or sharper.
+    // ctlint::allow(dead-pub): polyline API; its callers are polyline::tests (ROADMAP item 6)
     pub fn count_turns(&self) -> usize {
         self.points
             .windows(3)
@@ -62,6 +63,7 @@ impl Polyline {
     ///
     /// Returns `None` for polylines with fewer than one vertex. Degenerate
     /// (zero-length) polylines return their first vertex.
+    // ctlint::allow(dead-pub): polyline API; its callers are polyline::tests and the point_at proptest in crates/spatial/tests/properties.rs (ROADMAP item 6)
     pub fn point_at(&self, t: f64) -> Option<Point> {
         let first = *self.points.first()?;
         let total = self.length();
@@ -134,6 +136,6 @@ mod tests {
     fn bbox_covers_all_vertices() {
         let b = l_shape().bbox().unwrap();
         assert_eq!(b.width(), 10.0);
-        assert_eq!(b.height(), 10.0);
+        assert_eq!((b.min_y, b.max_y), (0.0, 10.0));
     }
 }

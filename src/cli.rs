@@ -806,6 +806,17 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_tau_is_a_usage_error() {
+        // Both parse as f64; NaN would plan over existing edges only and
+        // inf would make every stop pair a candidate.
+        for tau in ["NaN", "inf"] {
+            let cli = Cli::parse(args(&format!("plan --city c.json --tau {tau}"))).unwrap();
+            let err = cli.params().unwrap_err();
+            assert!(err.0.contains("tau_m"), "--tau {tau}: {}", err.0);
+        }
+    }
+
+    #[test]
     fn presets_resolve() {
         assert!(Cli::preset("chicago").is_ok());
         assert!(Cli::preset("bronx").is_ok());

@@ -1,7 +1,9 @@
 //! Cross-crate integration over the extension systems: map matching feeds
 //! demand, GTFS round-trips through planning, site selection and
 //! augmentation run on the same cities, Chebyshev backs the same trace
-//! pipeline as Lanczos, and the §2 measure comparison holds end to end.
+//! pipeline as Lanczos, Lanczos `e^A v` matches the dense matrix
+//! exponential on city adjacencies, and the §2 measure comparison holds
+//! end to end.
 
 use ct_bus::core::{
     augment_connectivity, select_sites, AugmentEval, AugmentParams, CtBusParams, Planner,
@@ -143,6 +145,19 @@ proptest! {
         let lan = lanczos_expv(&adj, &v, 25).unwrap();
         let cheb = chebyshev_expv(&adj, &v, (3.0 * rho) as usize + 25, rho * 1.05).unwrap();
         let num: f64 = lan.iter().zip(&cheb).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+        let den: f64 = lan.iter().map(|x| x * x).sum::<f64>().sqrt();
+        prop_assert!(num < 1e-6 * den, "rel err {}", num / den);
+    }
+
+    #[test]
+    fn dense_expm_and_lanczos_agree_on_city_adjacencies(seed in 0u64..200) {
+        let city = CityConfig::small().seed(seed).generate();
+        let adj = city.transit.adjacency_matrix();
+        let n = adj.n();
+        let v: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
+        let lan = lanczos_expv(&adj, &v, 25).unwrap();
+        let exact = adj.to_dense().expm().matvec_alloc(&v);
+        let num: f64 = lan.iter().zip(&exact).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
         let den: f64 = lan.iter().map(|x| x * x).sum::<f64>().sqrt();
         prop_assert!(num < 1e-6 * den, "rel err {}", num / den);
     }
