@@ -37,7 +37,9 @@ use std::time::Instant;
 use ct_data::{City, DemandModel};
 use serde::{Deserialize, Serialize};
 
-use crate::expand::{with_executor, ExpandCtx, Frontier, ModeConfig, ScoreMemo, WorkItem};
+use crate::expand::{
+    plan_from, with_executor, ExpandCtx, Frontier, ModeConfig, ScoreMemo, WorkItem,
+};
 use crate::params::CtBusParams;
 use crate::plan::RoutePlan;
 use crate::precompute::Precomputed;
@@ -231,7 +233,7 @@ pub(crate) fn execute_plan_with(
     };
 
     let mk_ctx = || ExpandCtx::new(city, pre, params, cfg, w, &le_values, bound_list, memo);
-    let (frontier, best_plan) = with_executor(threads.max(1), &mk_ctx, |executor| {
+    let frontier = with_executor(threads, &mk_ctx, |executor| {
         let mut frontier = Frontier::new(&cfg, params);
 
         // Seed evaluation fans out like expansion; merge in seed order.
@@ -258,16 +260,16 @@ pub(crate) fn execute_plan_with(
             }
         }
         frontier.finish();
-
-        // Report the objective under the *configured* weight, even when
-        // the search used an override (vk-TSP searches with w = 1 but
-        // Table 6 compares all methods under the shared objective).
-        let best_plan = match &frontier.best {
-            Some(cp) => executor.ctx().plan_from(cp, params.w),
-            None => RoutePlan::empty(),
-        };
-        (frontier, best_plan)
+        frontier
     });
+
+    // Report the objective under the *configured* weight, even when the
+    // search used an override (vk-TSP searches with w = 1 but Table 6
+    // compares all methods under the shared objective).
+    let best_plan = match &frontier.best {
+        Some(cp) => plan_from(pre, cp, params.w),
+        None => RoutePlan::empty(),
+    };
 
     RunResult {
         best: best_plan,

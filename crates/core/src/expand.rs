@@ -15,6 +15,11 @@
 //!    stealing, same discipline as `precompute::sweep_deltas`); every
 //!    expansion is a pure function of the drained path and the frozen
 //!    probes, so the schedule cannot affect values.
+//!
+//!    The pool lives for the whole run. Each epoch goes out to every
+//!    worker as an `Arc` of the batch and its cursor, over a bounded
+//!    channel; the driver steals alongside, then receives one report per
+//!    worker: its tagged outputs, or the panic it caught.
 //! 3. **Merge** (sequential): results are applied in batch index order —
 //!    incumbent updates, domination-table checks, and re-insertions happen
 //!    exactly as they would in a single-threaded run of the same batched
@@ -27,10 +32,13 @@
 //! output). `Planner::run_sequential` drives this same loop inline and is
 //! the reference the parallel path is tested against.
 
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Mutex, RwLock};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 
 use ct_data::City;
 use ct_linalg::{EdgeOverlay, LanczosWorkspace};
@@ -475,34 +483,33 @@ impl<'a> ExpandCtx<'a> {
         path.bound.append(self.bound_list, e_id);
         true
     }
+}
 
-    /// Converts the winning path into a reported plan, re-scoring its
-    /// connectivity with the SLQ estimator (the paper does the same for
-    /// ETA-Pre's final answer, Fig. 9).
-    pub(crate) fn plan_from(&self, cp: &CandPath, w: f64) -> RoutePlan {
-        let pre = self.pre;
-        let cands = &pre.candidates;
-        let new_stop_pairs = cands.new_stop_pairs(&cp.edges);
-        let conn = online_increment_in(
-            &pre.estimator,
-            pre.base_trace,
-            &mut EdgeOverlay::empty(&pre.base_adj),
-            &mut LanczosWorkspace::new(),
-            &new_stop_pairs,
-        );
-        let demand = cp.demand_sum;
-        let objective = pre.objective(w, demand, conn);
-        let length_m = cp.edges.iter().map(|&e| cands.edge(e).length_m).sum();
-        RoutePlan {
-            stops: cp.stops.clone(),
-            cand_edges: cp.edges.clone(),
-            new_stop_pairs,
-            demand,
-            conn_increment: conn,
-            objective,
-            turns: cp.tn,
-            length_m,
-        }
+/// Converts the winning path into a reported plan, re-scoring its
+/// connectivity with the SLQ estimator (the paper does the same for
+/// ETA-Pre's final answer, Fig. 9).
+pub(crate) fn plan_from(pre: &Precomputed, cp: &CandPath, w: f64) -> RoutePlan {
+    let cands = &pre.candidates;
+    let new_stop_pairs = cands.new_stop_pairs(&cp.edges);
+    let conn = online_increment_in(
+        &pre.estimator,
+        pre.base_trace,
+        &mut EdgeOverlay::empty(&pre.base_adj),
+        &mut LanczosWorkspace::new(),
+        &new_stop_pairs,
+    );
+    let demand = cp.demand_sum;
+    let objective = pre.objective(w, demand, conn);
+    let length_m = cp.edges.iter().map(|&e| cands.edge(e).length_m).sum();
+    RoutePlan {
+        stops: cp.stops.clone(),
+        cand_edges: cp.edges.clone(),
+        new_stop_pairs,
+        demand,
+        conn_increment: conn,
+        objective,
+        turns: cp.tn,
+        length_m,
     }
 }
 
@@ -618,211 +625,190 @@ impl Frontier {
     }
 }
 
-/// Epoch-scoped shared state of the work-stealing pool.
-///
-/// **Epoch hand-off protocol.** Earlier revisions synchronized each epoch
-/// with a start/end [`std::sync::Barrier`] pair — two full rendezvous per
-/// epoch, which short queries (many epochs, tiny batches) paid dearly
-/// for. The pool now hands epochs off lock-free: the driver publishes a
-/// batch by bumping `epoch` (release) and unparking the workers; each
-/// worker re-reads `epoch` (acquire) until it moves, steals until the
-/// batch is drained, then decrements `active` — the last one out unparks
-/// the driver, which parks until `active` reaches zero. Park/unpark
-/// tolerate spurious wakeups on both sides (each wait is a re-checked
-/// loop), and the release bump / acquire load pair carries the batch,
-/// cursor, and `active` writes across to the workers.
-struct PoolShared {
-    /// The current epoch's batch (workers read, the driver writes strictly
-    /// between epochs, while every worker is parked or winding down).
-    batch: RwLock<Vec<WorkItem>>,
-    /// Work-stealing cursor into `batch`.
+/// One epoch as the pool shares it: the drained batch and its cursor.
+/// The channel send publishes the batch, so the cursor, which only hands
+/// out indices, can be `Relaxed`.
+struct Epoch {
+    items: Vec<WorkItem>,
     next: AtomicUsize,
-    /// Per-item results, tagged with batch indices for deterministic
-    /// merge ordering.
-    results: Mutex<Vec<(usize, ExpandOut)>>,
-    /// First panic payload caught inside an expansion this epoch; the
-    /// driver re-raises it after the epoch completes (a panicking worker
-    /// still decrements `active`, so the driver always wakes).
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Raised by the driver before the final epoch bump so workers exit.
-    done: AtomicBool,
-    /// Epoch counter: bumped (release) to publish a new batch; workers
-    /// spin-park until it moves past the value they last served.
-    epoch: AtomicU64,
-    /// Workers still stealing from the current batch; the driver parks
-    /// until the last one decrements this to zero and unparks it.
-    active: AtomicUsize,
-    /// The driving thread, for end-of-epoch unparking.
-    driver: std::thread::Thread,
 }
 
-/// Steals items off the current batch into `local` until the cursor runs
-/// out. Shared by workers and the driving thread. Never unwinds: a panic
-/// inside an expansion is parked in `shared.panic` and the remaining
-/// items are abandoned, so every participant still completes the epoch
-/// (workers decrement `active` on the way out, waking the driver).
-fn steal_loop(shared: &PoolShared, ctx: &mut ExpandCtx<'_>) {
-    let batch = shared.batch.read().expect("batch lock not poisoned");
-    let mut local: Vec<(usize, ExpandOut)> = Vec::new();
+/// One participant's share of an epoch: its outputs tagged with batch
+/// indices, or the payload of the panic it caught.
+type Report = Result<Vec<(usize, ExpandOut)>, Box<dyn Any + Send>>;
+
+/// Steals items off `epoch` until the cursor runs out. Shared by workers
+/// and the driving thread. Never unwinds: a panic inside an expansion
+/// moves the cursor to the end of the batch, so everyone stops stealing,
+/// and comes back as the report.
+fn steal(epoch: &Epoch, ctx: &mut ExpandCtx<'_>) -> Report {
+    let mut local = Vec::new();
     loop {
-        let i = shared.next.fetch_add(1, AtomicOrdering::Relaxed);
-        if i >= batch.len() {
-            break;
-        }
-        // ctlint::allow(lock-discipline): the read guard is the batch borrow itself — writers only run between epochs, fenced by the epoch hand-off (workers hold no guard while parked)
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.run_item(&batch[i]))) {
+        let i = epoch.next.fetch_add(1, AtomicOrdering::Relaxed);
+        let Some(item) = epoch.items.get(i) else { return Ok(local) };
+        match std::panic::catch_unwind(AssertUnwindSafe(|| ctx.run_item(item))) {
             Ok(out) => local.push((i, out)),
             Err(payload) => {
-                let mut slot = shared.panic.lock().expect("panic lock not poisoned");
-                slot.get_or_insert(payload);
-                // Park the cursor at the end so everyone stops stealing.
-                shared.next.store(batch.len(), AtomicOrdering::Relaxed);
-                break;
+                epoch.next.store(epoch.items.len(), AtomicOrdering::Relaxed);
+                return Err(payload);
             }
         }
     }
-    drop(batch);
-    if !local.is_empty() {
-        shared.results.lock().expect("results lock not poisoned").extend(local);
-    }
 }
 
-/// Dispatches `items` across the pool (or inline when no pool is active)
+/// Dispatches `items` across the pool (or inline when it has no workers)
 /// and returns the outputs in batch index order.
-pub(crate) struct Executor<'scope, 'a> {
-    pool: Option<&'scope PoolShared>,
-    /// Handles of the pool's parked workers, for epoch-start unparking
-    /// (empty when running inline).
-    workers: Vec<std::thread::Thread>,
+pub(crate) struct Executor<'a> {
+    /// Per worker: the channel epochs go out on and the channel its one
+    /// report per epoch comes back on (empty when running inline). Only
+    /// the worker holds its report sender, so a dead worker shows up as a
+    /// failed `recv` instead of a wait that never ends.
+    workers: Vec<(SyncSender<Arc<Epoch>>, Receiver<Report>)>,
     main_ctx: ExpandCtx<'a>,
 }
 
-impl<'scope, 'a> Executor<'scope, 'a> {
-    fn inline(main_ctx: ExpandCtx<'a>) -> Self {
-        Executor { pool: None, workers: Vec::new(), main_ctx }
-    }
-
-    /// The driving thread's expansion context (used for `plan_from`).
-    pub(crate) fn ctx(&self) -> &ExpandCtx<'a> {
-        &self.main_ctx
-    }
-
+impl Executor<'_> {
     /// Maps `items` through the pool; output `i` corresponds to input `i`.
     pub(crate) fn map(&mut self, items: Vec<WorkItem>) -> Vec<ExpandOut> {
-        match self.pool {
-            // Single items aren't worth an epoch hand-off; results are
-            // identical either way because expansion is pure.
-            Some(shared) if items.len() > 1 => {
-                {
-                    let mut b = shared.batch.write().expect("batch lock not poisoned");
-                    *b = items;
-                }
-                shared.next.store(0, AtomicOrdering::Relaxed);
-                // Publish the epoch: `active` and the cursor are written
-                // before the release bump, so a worker's acquire load of
-                // `epoch` sees them; unpark wakes anyone already parked.
-                shared.active.store(self.workers.len(), AtomicOrdering::Relaxed);
-                shared.epoch.fetch_add(1, AtomicOrdering::Release);
-                for w in &self.workers {
-                    w.unpark();
-                }
-                steal_loop(shared, &mut self.main_ctx);
-                // Wait for the stragglers; the last worker out unparks us.
-                // Spurious unparks just re-check the counter.
-                while shared.active.load(AtomicOrdering::Acquire) != 0 {
-                    std::thread::park();
-                }
-                if let Some(payload) = shared.panic.lock().expect("panic lock not poisoned").take()
-                {
-                    // All workers are parked awaiting the next epoch;
-                    // unwinding runs ShutdownGuard::drop, which releases
-                    // and joins them before the panic propagates.
-                    std::panic::resume_unwind(payload);
-                }
-                let mut tagged =
-                    std::mem::take(&mut *shared.results.lock().expect("results lock not poisoned"));
-                tagged.sort_unstable_by_key(|(i, _)| *i);
-                tagged.into_iter().map(|(_, out)| out).collect()
-            }
-            _ => items.iter().map(|item| self.main_ctx.run_item(item)).collect(),
+        // Single items aren't worth an epoch hand-off; results are
+        // identical either way because expansion is pure.
+        if self.workers.is_empty() || items.len() <= 1 {
+            return items.iter().map(|item| self.main_ctx.run_item(item)).collect();
         }
-    }
-}
-
-/// Raises the pool's `done` flag and publishes a final epoch so parked
-/// workers wake and exit — on normal completion *and* when the driver
-/// unwinds (a panic in merge logic must not leave workers parked forever
-/// inside `std::thread::scope`'s implicit join).
-struct ShutdownGuard<'p> {
-    shared: &'p PoolShared,
-    workers: Vec<std::thread::Thread>,
-}
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.done.store(true, AtomicOrdering::Release);
-        self.shared.epoch.fetch_add(1, AtomicOrdering::Release);
-        for w in &self.workers {
-            w.unpark();
+        let epoch = Arc::new(Epoch { items, next: AtomicUsize::new(0) });
+        for (epochs, _) in &self.workers {
+            // Fails only for a dead worker, whose `recv` below says so.
+            let _ = epochs.send(Arc::clone(&epoch));
         }
+        let mut reports = vec![steal(&epoch, &mut self.main_ctx)];
+        for (_, report) in &self.workers {
+            reports.push(report.recv().expect("expansion workers report every epoch"));
+        }
+        // Every participant has stopped stealing: re-raise the first
+        // caught panic, or merge in batch index order.
+        let mut tagged: Vec<(usize, ExpandOut)> = reports
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            .into_iter()
+            .flatten()
+            .collect();
+        tagged.sort_unstable_by_key(|(i, _)| *i);
+        tagged.into_iter().map(|(_, out)| out).collect()
     }
 }
 
 /// Runs `drive` with an [`Executor`] backed by `threads` expansion
-/// contexts: the driving thread plus `threads − 1` scoped workers parked
-/// on the epoch counter. With `threads <= 1` no pool is created and every
-/// item runs inline — same results either way.
+/// contexts: the driving thread plus `threads − 1` scoped workers, each
+/// waiting on its epoch channel. With `threads <= 1` no worker is spawned
+/// and every item runs inline — same results either way. Dropping the
+/// executor drops the epoch senders, which ends the workers, whether
+/// `drive` returns or unwinds.
+///
+/// The workers live for the whole run because a plan is many short
+/// epochs: spawning scoped threads per epoch measured 35% slower, p50
+/// 4.17 against 3.01 ms (`Planner::run_with_threads(EtaPre, 2)`,
+/// chicago_like, k = 10, sn = 300, it_max = 600, ~38 epochs of 16
+/// paths; 2-core host).
 pub(crate) fn with_executor<'a, R>(
     threads: usize,
     mk_ctx: &(dyn Fn() -> ExpandCtx<'a> + Sync),
-    drive: impl FnOnce(&mut Executor<'_, 'a>) -> R,
+    drive: impl FnOnce(&mut Executor<'a>) -> R,
 ) -> R {
-    if threads <= 1 {
-        return drive(&mut Executor::inline(mk_ctx()));
-    }
-    let shared = PoolShared {
-        batch: RwLock::new(Vec::new()),
-        next: AtomicUsize::new(0),
-        results: Mutex::new(Vec::new()),
-        panic: Mutex::new(None),
-        done: AtomicBool::new(false),
-        epoch: AtomicU64::new(0),
-        active: AtomicUsize::new(0),
-        driver: std::thread::current(),
-    };
     std::thread::scope(|s| {
-        let mut workers = Vec::with_capacity(threads - 1);
-        for _ in 0..threads - 1 {
-            let shared = &shared;
-            let handle = s.spawn(move || {
-                let mut ctx = mk_ctx();
-                let mut seen = 0u64;
-                loop {
-                    // Await the next epoch. A spurious wakeup (or a park
-                    // that returns immediately because an unpark token was
-                    // already banked) just re-checks the counter.
-                    loop {
-                        let e = shared.epoch.load(AtomicOrdering::Acquire);
-                        if e != seen {
-                            seen = e;
-                            break;
-                        }
-                        std::thread::park();
+        let workers = (1..threads)
+            .map(|_| {
+                let (epoch_tx, epochs) = sync_channel::<Arc<Epoch>>(1);
+                let (report_tx, reports) = sync_channel(1);
+                s.spawn(move || {
+                    let mut ctx = mk_ctx();
+                    for epoch in epochs {
+                        // Fails only once the executor is gone, which ends `epochs` too.
+                        let _ = report_tx.send(steal(&epoch, &mut ctx));
                     }
-                    if shared.done.load(AtomicOrdering::Acquire) {
-                        return;
-                    }
-                    steal_loop(shared, &mut ctx);
-                    // Last worker out hands the epoch back to the driver.
-                    if shared.active.fetch_sub(1, AtomicOrdering::AcqRel) == 1 {
-                        shared.driver.unpark();
-                    }
-                }
-            });
-            workers.push(handle.thread().clone());
-        }
-        let _guard = ShutdownGuard { shared: &shared, workers: workers.clone() };
-        let mut executor = Executor { pool: Some(&shared), workers, main_ctx: mk_ctx() };
-        drive(&mut executor)
+                });
+                (epoch_tx, reports)
+            })
+            .collect();
+        drive(&mut Executor { workers, main_ctx: mk_ctx() })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::catch_unwind;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use ct_data::{CityConfig, DemandModel};
+
+    use super::*;
+    use crate::fault::panic_message;
+    use crate::PlannerMode;
+
+    fn fixture() -> (City, Precomputed, CtBusParams) {
+        let city = CityConfig::small().seed(21).generate();
+        let demand = DemandModel::from_city(&city);
+        let params = CtBusParams::small_defaults();
+        let pre = Precomputed::build(&city, &demand, &params);
+        (city, pre, params)
+    }
+
+    /// Maps `items` on a pool of `threads` linear EtaPre contexts; every
+    /// context build runs `check` first.
+    fn run_pool(
+        (city, pre, params): &(City, Precomputed, CtBusParams),
+        threads: usize,
+        items: Vec<WorkItem>,
+        check: impl Fn() + Sync,
+    ) -> Vec<ExpandOut> {
+        let cfg = PlannerMode::EtaPre.config();
+        let le_values = pre.le_values(params.w);
+        let list = RankedList::new(&le_values);
+        let mk_ctx = || {
+            check();
+            ExpandCtx::new(city, pre, params, cfg, params.w, &le_values, &list, None)
+        };
+        with_executor(threads, &mk_ctx, |executor| executor.map(items))
+    }
+
+    #[test]
+    fn a_panicking_expansion_reaches_the_caller_with_its_message() {
+        let fx = fixture();
+        for threads in [1, 2, 4] {
+            // Candidate `u32::MAX` indexes past the pool; its neighbours
+            // are fine.
+            let items = vec![WorkItem::Seed(0), WorkItem::Seed(u32::MAX), WorkItem::Seed(1)];
+            let payload =
+                catch_unwind(AssertUnwindSafe(|| run_pool(&fx, threads, items, || ()).len()))
+                    .expect_err("the expansion's panic reaches the caller");
+            let msg = panic_message(payload);
+            assert!(
+                msg.contains("index out of bounds") && msg.contains(&u32::MAX.to_string()),
+                "threads={threads}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_worker_that_cannot_build_its_context_fails_the_run() {
+        // The run goes on a helper thread, so a pool that waits for the
+        // dead worker forever fails this test by the timeout instead of
+        // hanging it.
+        let fx = fixture();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let driver = std::thread::current().id();
+            let check = || {
+                if std::thread::current().id() != driver {
+                    panic!("worker context build failed on purpose");
+                }
+            };
+            let items = (0..8).map(WorkItem::Seed).collect();
+            let outcome = catch_unwind(AssertUnwindSafe(|| run_pool(&fx, 2, items, check)));
+            let _ = tx.send(outcome.map(|outs| outs.len()).map_err(panic_message));
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(30)).expect("the run ends, not hangs");
+        assert!(outcome.is_err(), "a dead worker must fail the run, got {outcome:?}");
+    }
 }

@@ -203,6 +203,15 @@ mod tests {
         let problems = p.validate();
         assert_eq!(problems.len(), 3);
 
+        // The trace estimator needs at least one probe and one step.
+        let mut p = CtBusParams::paper_defaults();
+        p.trace_probes = 0;
+        p.lanczos_steps = 0;
+        assert_eq!(
+            p.validate(),
+            ["trace_probes must be positive", "lanczos_steps must be positive"]
+        );
+
         // Non-finite values pass `<`/`<=` range tests, so each is checked.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut p = CtBusParams::paper_defaults();

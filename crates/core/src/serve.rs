@@ -93,7 +93,7 @@ use ct_data::{City, DemandModel};
 use crate::fault::{self, FaultError, FaultInjector};
 use crate::params::CtBusParams;
 use crate::plan::RoutePlan;
-use crate::precompute::{DeltaMethod, Precomputed};
+use crate::precompute::Precomputed;
 use crate::session::{CommitSummary, PlanningSession, RefreshPolicy};
 
 /// One immutable published state of the world: the evolved city, its
@@ -108,12 +108,8 @@ pub struct Snapshot {
     demand: Arc<DemandModel>,
     pre: Arc<Precomputed>,
     params: CtBusParams,
-    method: DeltaMethod,
     /// 0 for the initial snapshot, +1 per applied commit.
     generation: u64,
-    /// Routes committed along this snapshot's history (== generation, kept
-    /// separate so sessions report `commits()` consistently).
-    commits: usize,
 }
 
 impl Snapshot {
@@ -153,8 +149,7 @@ impl Snapshot {
             Arc::clone(&self.demand),
             Arc::clone(&self.pre),
             self.params,
-            self.method,
-            self.commits,
+            self.generation as usize,
         )
     }
 }
@@ -352,29 +347,14 @@ impl ServeState {
     /// # Panics
     /// Panics if `params` fail [`CtBusParams::validate`].
     pub fn new(city: City, demand: DemandModel, params: CtBusParams) -> ServeState {
-        Self::with_method(city, demand, params, DeltaMethod::default())
-    }
-
-    /// [`ServeState::new`] with an explicit Δ(e) method.
-    ///
-    /// # Panics
-    /// Panics if `params` fail [`CtBusParams::validate`].
-    pub fn with_method(
-        city: City,
-        demand: DemandModel,
-        params: CtBusParams,
-        method: DeltaMethod,
-    ) -> ServeState {
-        let mut boot = PlanningSession::new(city, demand, params).with_method(method);
+        let mut boot = PlanningSession::new(city, demand, params);
         let pre = boot.precomputed_handle();
         let snapshot = Snapshot {
             city: Arc::clone(boot.city_handle()),
             demand: Arc::clone(boot.demand_handle()),
             pre,
             params,
-            method,
             generation: 0,
-            commits: 0,
         };
         ServeState {
             generation: AtomicU64::new(0),
@@ -567,9 +547,7 @@ impl ServeState {
             demand: Arc::clone(session.demand_handle()),
             pre: session.precomputed_handle(),
             params: base.params,
-            method: base.method,
             generation,
-            commits: session.commits(),
         });
         fault::hit(&self.faults, fault::site::SNAPSHOT_PUBLISH)?;
 

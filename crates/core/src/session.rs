@@ -151,7 +151,6 @@ pub struct PlanningSession {
     city: Arc<City>,
     demand: Arc<DemandModel>,
     params: CtBusParams,
-    method: DeltaMethod,
     /// Built lazily on first use so demand-only work (e.g. site selection)
     /// never pays for a Δ-sweep. Shared with branches and published serve
     /// snapshots; commits take the copy-on-write path when shared.
@@ -199,7 +198,6 @@ impl PlanningSession {
             city,
             demand,
             params,
-            method: DeltaMethod::default(),
             pre: None,
             workspaces: Vec::new(),
             commits: 0,
@@ -215,14 +213,12 @@ impl PlanningSession {
         demand: Arc<DemandModel>,
         pre: Arc<Precomputed>,
         params: CtBusParams,
-        method: DeltaMethod,
         commits: usize,
     ) -> PlanningSession {
         PlanningSession {
             city,
             demand,
             params,
-            method,
             pre: Some(pre),
             workspaces: Vec::new(),
             commits,
@@ -235,13 +231,6 @@ impl PlanningSession {
     /// session's commit path.
     pub(crate) fn install_faults(&mut self, faults: Option<Arc<FaultInjector>>) {
         self.faults = faults;
-    }
-
-    /// Overrides the Δ(e) method (builder style; default
-    /// [`DeltaMethod::PairedProbes`]).
-    pub fn with_method(mut self, method: DeltaMethod) -> PlanningSession {
-        self.method = method;
-        self
     }
 
     /// Overrides the refresh policy (builder style; default
@@ -287,11 +276,6 @@ impl PlanningSession {
         Arc::clone(self.pre.as_ref().expect("ensured above"))
     }
 
-    /// The Δ(e) method in force.
-    pub fn method(&self) -> DeltaMethod {
-        self.method
-    }
-
     /// The parameters in force.
     pub fn params(&self) -> &CtBusParams {
         &self.params
@@ -311,12 +295,7 @@ impl PlanningSession {
 
     fn ensure_precomputed(&mut self) {
         if self.pre.is_none() {
-            self.pre = Some(Arc::new(Precomputed::build_with(
-                &self.city,
-                &self.demand,
-                &self.params,
-                self.method,
-            )));
+            self.pre = Some(Arc::new(Precomputed::build(&self.city, &self.demand, &self.params)));
         }
     }
 
@@ -446,7 +425,7 @@ impl PlanningSession {
         // head's Ritz vectors. It runs beside the sweep on its workers.
         let seeds = prev_basis.as_deref().map_or(&[][..], Vec::as_slice);
         let head = sweep_deltas(
-            self.method,
+            DeltaMethod::PairedProbes,
             &pre.candidates,
             &pre.base_adj,
             &pre.estimator,
@@ -492,7 +471,6 @@ impl PlanningSession {
             city: self.city.clone(),
             demand: self.demand.clone(),
             params: self.params,
-            method: self.method,
             pre: self.pre.clone(),
             workspaces: Vec::new(),
             commits: self.commits,

@@ -8,9 +8,7 @@
 
 use std::sync::Arc;
 
-use ct_core::{
-    plan_multiple, plan_multiple_reference, CtBusParams, PlannerMode, PlanningSession, Precomputed,
-};
+use ct_core::{plan_multiple, plan_multiple_reference, CtBusParams, PlannerMode, PlanningSession};
 use ct_data::{City, CityConfig, DemandModel};
 use proptest::prelude::*;
 
@@ -112,35 +110,6 @@ fn no_road_or_trajectory_copies_across_rounds() {
         );
     }
     assert!(rounds >= 2, "fixture committed too few rounds to be meaningful");
-}
-
-#[test]
-fn perturbation_method_sessions_are_equivalent_too() {
-    // The commit path is Δ-method agnostic: under the deterministic
-    // perturbation scoring, a committed session must equal a fresh
-    // perturbation build as well.
-    use ct_core::DeltaMethod;
-    let (city, demand) = small_city(305);
-    let params = quick_params();
-    let mut session = PlanningSession::new(city.clone(), demand.clone(), params)
-        .with_method(DeltaMethod::Perturbation);
-    let first = session.plan(PlannerMode::EtaPre);
-    assert!(!first.best.is_empty());
-    session.commit(&first.best);
-    let second = session.plan(PlannerMode::EtaPre);
-
-    // Reference: rebuild with the same method on the evolved state.
-    let fresh = Precomputed::build_with(
-        session.city(),
-        session.demand(),
-        &params,
-        DeltaMethod::Perturbation,
-    );
-    let planner = ct_core::Planner::with_precomputed(session.city(), params, fresh);
-    let reference = planner.run(PlannerMode::EtaPre);
-    assert_eq!(second.best, reference.best);
-    assert_eq!(second.trace, reference.trace);
-    assert_eq!(second.evaluations, reference.evaluations);
 }
 
 proptest! {

@@ -119,11 +119,6 @@ impl LanczosWorkspace {
         &self.betas[..self.steps_done.saturating_sub(1)]
     }
 
-    /// Norm of the start vector from the last single-vector run.
-    pub fn initial_norm(&self) -> f64 {
-        self.initial_norm
-    }
-
     /// Basis rows stored by the last single-vector run with `keep_basis`.
     pub fn basis_rows(&self) -> impl Iterator<Item = &[f64]> {
         self.basis.chunks_exact(self.n.max(1)).take(self.steps_done)
@@ -759,7 +754,7 @@ mod tests {
         assert_eq!(ws.steps(), 0);
         assert!(ws.alphas().is_empty());
         assert!(ws.betas().is_empty());
-        assert_eq!(ws.initial_norm(), 0.0);
+        assert_eq!(ws.initial_norm, 0.0);
         assert_eq!(ws.basis_rows().count(), 0);
         // The next single-vector run reads back its own coefficients.
         lanczos_tridiagonalize_in(&a, &v, 10, false, false, &mut ws).unwrap();

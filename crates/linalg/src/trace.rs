@@ -92,8 +92,10 @@ pub struct PairedTraceEstimator {
 
 impl PairedTraceEstimator {
     /// Draws and freezes `params.probes` probe vectors of dimension `n`.
+    /// With zero probes every estimate is an [`LinalgError::EmptyInput`]
+    /// error.
     pub fn new<R: Rng + ?Sized>(n: usize, params: &TraceParams, rng: &mut R) -> Self {
-        let s = params.probes.max(1);
+        let s = params.probes;
         let mut flat = vec![0.0; n * s];
         let mut rows = Vec::with_capacity(n * s);
         for j in 0..s {
@@ -111,11 +113,6 @@ impl PairedTraceEstimator {
     /// Dimension the probes were drawn for.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Number of frozen probes.
-    pub fn num_probes(&self) -> usize {
-        self.num_probes
     }
 
     /// Probe `j` as a contiguous slice.
@@ -152,6 +149,9 @@ impl PairedTraceEstimator {
     pub fn trace_exp_unbatched<M: MatVec + ?Sized>(&self, a: &M) -> Result<f64, LinalgError> {
         if a.n() != self.n {
             return Err(LinalgError::DimensionMismatch { expected: self.n, actual: a.n() });
+        }
+        if self.num_probes == 0 {
+            return Err(LinalgError::EmptyInput("probes"));
         }
         let mut acc = 0.0;
         for j in 0..self.num_probes {
@@ -390,5 +390,10 @@ mod tests {
         let a = random_graph(10, 20, 1);
         let params = TraceParams { probes: 0, ..Default::default() };
         assert!(hutchinson_trace_exp(&a, &params, &mut StdRng::seed_from_u64(1)).is_err());
+        // The frozen-probe estimator keeps zero probes too, rather than
+        // quietly answering with one.
+        let est = PairedTraceEstimator::new(10, &params, &mut StdRng::seed_from_u64(1));
+        assert!(matches!(est.trace_exp(&a), Err(LinalgError::EmptyInput("probes"))));
+        assert!(matches!(est.trace_exp_unbatched(&a), Err(LinalgError::EmptyInput("probes"))));
     }
 }

@@ -718,10 +718,11 @@ pub(crate) struct PubFn {
     own: usize,
 }
 
-/// Counts `ctx`'s non-test identifier tokens outside `use` declarations
-/// into `idents`, and, when `defs` is given, records each `pub fn` the
-/// file defines for [`dead_pub`]. `pub(crate)`/`pub(super)`/`pub(in …)`
-/// fns are not API and are skipped.
+/// Counts `ctx`'s non-test identifier tokens outside `use` declarations,
+/// field names excluded (see [`names_a_field`]), into `idents`, and,
+/// when `defs` is given, records each `pub fn` the file defines for
+/// [`dead_pub`]. `pub(crate)`/`pub(super)`/`pub(in …)` fns are not API
+/// and are skipped.
 pub(crate) fn count_idents(
     ctx: &FileCtx,
     idents: &mut BTreeMap<String, usize>,
@@ -738,7 +739,11 @@ pub(crate) fn count_idents(
             }
             continue;
         }
-        if t.kind == crate::lexer::TokKind::Ident && !is_keyword(t.text) && !ctx.excluded[ci] {
+        if t.kind == crate::lexer::TokKind::Ident
+            && !is_keyword(t.text)
+            && !ctx.excluded[ci]
+            && !names_a_field(ctx, ci)
+        {
             counted[ci] = true;
             *idents.entry(t.text.to_string()).or_default() += 1;
         }
@@ -774,6 +779,19 @@ pub(crate) fn count_idents(
             own,
         });
     }
+}
+
+/// Whether the identifier at `ci` names a field rather than a fn: a
+/// `.name` access not followed by `(` or `::` (`self.len`, not
+/// `self.len()`), or a `name:` before a single colon (a field's
+/// declaration, initializer or pattern).
+fn names_a_field(ctx: &FileCtx, ci: usize) -> bool {
+    let colon = |j: usize| ctx.get(j).is_some_and(|t| t.is_punct(':'));
+    let after_dot =
+        ci >= 1 && ctx.ct(ci - 1).is_punct('.') && !(ci >= 2 && ctx.ct(ci - 2).is_punct('.'));
+    let called =
+        ctx.get(ci + 1).is_some_and(|t| t.is_punct('(')) || (colon(ci + 1) && colon(ci + 2));
+    (after_dot && !called) || (colon(ci + 1) && !colon(ci + 2))
 }
 
 /// Rule: `dead-pub`. A recorded `pub fn` whose name no counted

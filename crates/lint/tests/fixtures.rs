@@ -140,11 +140,16 @@ fn dead_pub_counts_callers_only_in_caller_files() {
     let line_of = |name: &str| {
         src.lines().position(|l| l.contains(&format!("pub fn {name}("))).unwrap() as u32 + 1
     };
-    let want: Vec<u32> =
-        ["never_called", "called_from_a_bench", "imported_but_never_called", "only_calls_itself"]
-            .into_iter()
-            .map(line_of)
-            .collect();
+    let want: Vec<u32> = [
+        "never_called",
+        "called_from_a_bench",
+        "imported_but_never_called",
+        "only_calls_itself",
+        "level",
+    ]
+    .into_iter()
+    .map(line_of)
+    .collect();
     assert_eq!(dead, want);
 }
 

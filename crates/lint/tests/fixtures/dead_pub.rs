@@ -20,6 +20,24 @@ pub fn only_calls_itself(n: u32) -> u32 { //~ dead-pub
     if n == 0 { 0 } else { only_calls_itself(n - 1) }
 }
 
+// Named only as a field (declared, initialized, read): no caller. A
+// method call through `.` still counts.
+pub struct Gauge {
+    level: u32,
+}
+
+pub fn level(g: &Gauge) -> u32 { //~ dead-pub
+    g.level
+}
+
+pub fn is_empty(g: &Gauge) -> bool {
+    g.level == 0
+}
+
+fn drained(g: &Gauge) -> Option<Gauge> {
+    (!g.is_empty()).then(|| Gauge { level: g.level - 1 })
+}
+
 // Not API: restricted visibility is ignored.
 pub(crate) fn crate_internal() -> u32 {
     4
