@@ -4,8 +4,10 @@
 //! The `*_s16` cases split one Δ(e) solve at `small_defaults` (s = 16
 //! probes, t = 8 steps) into its layers: `slq_trace_batched/*_s16` is the
 //! whole solve, `matvec_lanes/*_s16` one of its t lane products, and
-//! `slq_quadrature/s16` its s t×t quadratures; the rest is the Lanczos
-//! recurrence (see docs/benchmarks.md).
+//! `slq_quadrature/s16` its s quadratures `e₁ᵀ e^T e₁`, one 16-lane
+//! `tridiag_exp11_lanes` call (`slq_quadrature/s16_t10` the same at the
+//! paper's t = 10); the rest is the Lanczos recurrence (see
+//! docs/benchmarks.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
@@ -13,7 +15,7 @@ use std::hint::black_box;
 
 use ct_core::{general_bound, path_bound, CtBusParams};
 use ct_data::CityConfig;
-use ct_linalg::tridiag::tridiag_eigen_first_row_in;
+use ct_linalg::tridiag::tridiag_exp11_lanes;
 use ct_linalg::{
     block_krylov_topk, gaussian_vector, lanczos_tridiagonalize, natural_connectivity_exact,
     ConnectivityEstimator, CsrMatrix, EdgeOverlay, LanczosWorkspace, MatVec,
@@ -71,7 +73,7 @@ fn bench_connectivity(c: &mut Criterion) {
     // network plus one added edge, through a reused overlay and workspace —
     // the unit both the precompute sweep and the online ETA scorer pay.
     let small = CtBusParams::small_defaults().trace_params();
-    let mut quad_input = Vec::new();
+    let mut quad_inputs = Vec::new();
     for (name, cfg) in
         [("medium", CityConfig::medium()), ("chicago_like", CityConfig::chicago_like())]
     {
@@ -88,36 +90,48 @@ fn bench_connectivity(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("matvec_lanes", &label), &overlay, |b, ov| {
             b.iter(|| ov.matvec_lanes(black_box(&xs), &mut ys))
         });
-        if quad_input.is_empty() {
-            // The s tridiagonal matrices of one medium-city solve.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-            quad_input = (0..small.probes)
-                .map(|_| {
-                    let v = gaussian_vector(&mut rng, adj.n());
-                    let dec =
-                        lanczos_tridiagonalize(&overlay, &v, small.lanczos_steps, false, false)
-                            .unwrap();
-                    (dec.alphas, dec.betas)
-                })
-                .collect();
+        if quad_inputs.is_empty() {
+            // The s tridiagonal matrices of one medium-city solve, at
+            // `small_defaults`' t and at the paper's t = 10.
+            for (label, steps) in [("s16", small.lanczos_steps), ("s16_t10", 10)] {
+                quad_inputs.push((label, lane_tile(&overlay, steps)));
+            }
         }
     }
 
-    // The s t×t Gauss quadratures of one solve, alone: what a solve pays
-    // after its matvecs and recurrence passes.
-    let (mut d, mut e, mut row) = (Vec::new(), Vec::new(), Vec::new());
-    let label = format!("s{}", small.probes);
-    group.bench_with_input(BenchmarkId::new("slq_quadrature", label), &quad_input, |b, tri| {
-        b.iter(|| {
-            let mut total = 0.0;
-            for (alphas, betas) in tri {
-                tridiag_eigen_first_row_in(alphas, betas, &mut d, &mut e, &mut row).unwrap();
-                total += d.iter().zip(&row).map(|(&t, &w)| w * w * t.exp()).sum::<f64>();
-            }
-            black_box(total)
-        })
-    });
+    // The s quadratures of one solve, alone: what a solve pays after its
+    // matvecs and recurrence passes.
+    for (label, (alphas, betas)) in &quad_inputs {
+        let t = alphas.len();
+        let (mut z, mut term) = (vec![[0.0; 16]; t], vec![[0.0; 16]; t]);
+        group.bench_function(BenchmarkId::new("slq_quadrature", label), |b| {
+            b.iter(|| {
+                let quad = tridiag_exp11_lanes(black_box(alphas), betas, &mut z, &mut term);
+                black_box(quad.unwrap().iter().sum::<f64>())
+            })
+        });
+    }
     group.finish();
+}
+
+/// The `α` and `β` rows of 16 `steps`-step Lanczos runs on `a` from
+/// seeded Gaussian probes, one lane per probe.
+fn lane_tile(a: &EdgeOverlay<'_>, steps: usize) -> (Vec<[f64; 16]>, Vec<[f64; 16]>) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let mut alphas = vec![[0.0; 16]; steps];
+    let mut betas = vec![[0.0; 16]; steps - 1];
+    for l in 0..16 {
+        let v = gaussian_vector(&mut rng, a.n());
+        let dec = lanczos_tridiagonalize(a, &v, steps, false, false).unwrap();
+        assert_eq!(dec.steps(), steps, "no breakdown on a city network");
+        for (row, &x) in alphas.iter_mut().zip(&dec.alphas) {
+            row[l] = x;
+        }
+        for (row, &x) in betas.iter_mut().zip(&dec.betas) {
+            row[l] = x;
+        }
+    }
+    (alphas, betas)
 }
 
 criterion_group!(benches, bench_connectivity);

@@ -32,6 +32,7 @@
 //! path as a result; rejecting is strictly cleaner for route quality), and
 //! one-way loops are not closed (strict simple paths).
 
+use std::fmt;
 use std::time::Instant;
 
 use ct_data::{City, DemandModel};
@@ -115,6 +116,32 @@ pub struct RunResult {
     pub runtime_secs: f64,
     /// Candidate-path objective evaluations performed.
     pub evaluations: u64,
+    /// Why the search stopped.
+    pub stop: StopReason,
+}
+
+/// Why a planner run stopped, decided from the frontier once the epoch
+/// loop ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// The best bound left in the queue cannot beat the incumbent: the
+    /// search is finished.
+    Bound,
+    /// The queue ran empty: the search is finished.
+    Exhausted,
+    /// `it_max` polls were made while a path in the queue could still beat
+    /// the incumbent: the search was cut short.
+    IterationCap,
+}
+
+impl fmt::Display for StopReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            StopReason::Bound => "bound",
+            StopReason::Exhausted => "exhausted queue",
+            StopReason::IterationCap => "iteration cap",
+        })
+    }
 }
 
 /// The CT-Bus planner: pre-computation plus Algorithm 1 in all variants.
@@ -273,6 +300,7 @@ pub(crate) fn execute_plan_with(
 
     RunResult {
         best: best_plan,
+        stop: frontier.stop_reason(),
         trace: frontier.trace,
         iterations: frontier.it,
         runtime_secs: t0.elapsed().as_secs_f64(),
@@ -395,6 +423,7 @@ mod tests {
         assert_eq!(a.best, b.best);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.iterations, b.iterations);
+        assert_eq!(a.stop, b.stop);
     }
 
     #[test]
@@ -410,6 +439,7 @@ mod tests {
         assert_eq!(seq.trace, par.trace);
         assert_eq!(seq.iterations, par.iterations);
         assert_eq!(seq.evaluations, par.evaluations);
+        assert_eq!(seq.stop, par.stop);
     }
 
     #[test]
@@ -446,6 +476,7 @@ mod tests {
         assert_eq!(a.trace, b.trace, "{what}: trace");
         assert_eq!(a.iterations, b.iterations, "{what}: iterations");
         assert_eq!(a.evaluations, b.evaluations, "{what}: evaluations");
+        assert_eq!(a.stop, b.stop, "{what}: stop");
     }
 
     /// Runs Eta with the memo off and on at threads {1, 2, 4}, asserting
@@ -456,11 +487,14 @@ mod tests {
         let pre = Precomputed::build(city, &demand, &params);
         let mut sizes = Vec::new();
         let mut evaluations = 0;
+        let mut single: Option<RunResult> = None;
         for threads in [1, 2, 4] {
             let off = execute_plan_with(city, &params, &pre, PlannerMode::Eta, threads, None);
             let memo = ScoreMemo::default();
             let on = execute_plan_with(city, &params, &pre, PlannerMode::Eta, threads, Some(&memo));
             assert_same_run(&off, &on, &format!("threads={threads}"));
+            let single = single.get_or_insert_with(|| on.clone());
+            assert_same_run(single, &on, &format!("threads=1 vs threads={threads}"));
             sizes.push(memo.into_inner().expect("memo lock not poisoned").len());
             evaluations = on.evaluations;
         }
@@ -490,6 +524,42 @@ mod tests {
             entries as f64 <= 0.75 * evaluations as f64,
             "{entries} memo entries for {evaluations} evaluations"
         );
+    }
+
+    /// The perfbench planner settings on medium: `small_defaults` with
+    /// k = 10, sn = 300 and w = 0.5.
+    fn medium_params(it_max: u64) -> CtBusParams {
+        let mut params = CtBusParams::small_defaults();
+        params.k = 10;
+        params.sn = 300;
+        params.w = 0.5;
+        params.it_max = it_max;
+        params
+    }
+
+    #[test]
+    fn eta_pre_on_medium_finishes_by_its_bound() {
+        // With room to finish, EtaPre's increment bound ends the search
+        // (771 iterations when this was written), well before the cap.
+        let city = CityConfig::medium().generate();
+        let demand = DemandModel::from_city(&city);
+        let params = medium_params(4_000);
+        let res = Planner::new(&city, &demand, params).run(PlannerMode::EtaPre);
+        assert_eq!(res.stop, StopReason::Bound, "after {} iterations", res.iterations);
+        assert!(res.iterations < params.it_max, "{} iterations", res.iterations);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "~7,600 SLQ solves per run; run with --release")]
+    fn online_eta_on_medium_stops_at_the_iteration_cap() {
+        // Online Eta's connectivity bound never prunes at these settings,
+        // so the cap ends every benchmark plan.
+        let city = CityConfig::medium().generate();
+        let demand = DemandModel::from_city(&city);
+        let params = medium_params(600);
+        let res = Planner::new(&city, &demand, params).run(PlannerMode::Eta);
+        assert_eq!(res.stop, StopReason::IterationCap);
+        assert_eq!(res.iterations, 600);
     }
 
     #[test]

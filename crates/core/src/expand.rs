@@ -44,6 +44,7 @@ use ct_data::City;
 use ct_linalg::{EdgeOverlay, LanczosWorkspace};
 use ct_spatial::{turn_angle, TurnClass};
 
+use crate::eta::StopReason;
 use crate::params::CtBusParams;
 use crate::plan::RoutePlan;
 use crate::precompute::Precomputed;
@@ -622,6 +623,21 @@ impl Frontier {
     /// Seals the run: appends the final trace point.
     pub(crate) fn finish(&mut self) {
         self.trace.push((self.it, self.o_max.max(0.0)));
+    }
+
+    /// Why the epoch loop ended, read off the queue once it has: an empty
+    /// queue, a best bound that cannot beat the incumbent, or else the
+    /// iteration cap (the only other way [`Frontier::drain_epoch`] comes
+    /// back empty).
+    pub(crate) fn stop_reason(&self) -> StopReason {
+        match self.q.peek() {
+            None => StopReason::Exhausted,
+            Some(top) if top.ub <= self.o_max => StopReason::Bound,
+            Some(_) => {
+                debug_assert_eq!(self.it, self.it_max, "the search stops early only at the cap");
+                StopReason::IterationCap
+            }
+        }
     }
 }
 

@@ -83,7 +83,7 @@ pub use baselines::{
 };
 pub use bounds::{estrada_bound, general_bound, increment_bound, path_bound};
 pub use candidates::{CandidateEdge, CandidateSet};
-pub use eta::{Planner, PlannerMode, RunResult};
+pub use eta::{Planner, PlannerMode, RunResult, StopReason};
 pub use fault::{FailPlan, FaultAction, FaultError, FaultInjector, FaultStats};
 pub use metrics::{apply_plan, evaluate_plan, PlanMetrics};
 pub use multi::{plan_multiple, plan_multiple_reference};

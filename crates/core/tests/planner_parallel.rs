@@ -2,7 +2,8 @@
 //! `PlannerMode` and any thread count, `Planner::run` must be
 //! **bit-identical** to the retained single-threaded reference
 //! `Planner::run_sequential` — same best plan, same convergence trace,
-//! same iteration and evaluation counts. Only wall-clock time may differ.
+//! same iteration and evaluation counts, same stop reason. Only wall-clock
+//! time may differ.
 //!
 //! The contract holds because each expansion is a pure function of the
 //! drained path and the frozen probes, and merges happen in drain order
@@ -19,6 +20,7 @@ fn assert_runs_identical(planner: &Planner<'_>, mode: PlannerMode, threads: usiz
     assert_eq!(parallel.trace, reference.trace, "{mode:?} trace diverged at threads={threads}");
     assert_eq!(parallel.iterations, reference.iterations, "{mode:?} iterations diverged");
     assert_eq!(parallel.evaluations, reference.evaluations, "{mode:?} evaluations diverged");
+    assert_eq!(parallel.stop, reference.stop, "{mode:?} stop reason diverged");
 }
 
 fn small_city(seed: u64) -> (City, DemandModel) {
@@ -89,6 +91,7 @@ proptest! {
             prop_assert_eq!(&parallel.trace, &reference.trace);
             prop_assert_eq!(parallel.iterations, reference.iterations);
             prop_assert_eq!(parallel.evaluations, reference.evaluations);
+            prop_assert_eq!(parallel.stop, reference.stop);
         }
     }
 }

@@ -21,6 +21,8 @@ pub enum LinalgError {
     },
     /// An input was empty where a non-empty one is required.
     EmptyInput(&'static str),
+    /// An input held a NaN or an infinity where finite values are required.
+    NonFinite(&'static str),
 }
 
 impl fmt::Display for LinalgError {
@@ -33,6 +35,7 @@ impl fmt::Display for LinalgError {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
             }
             LinalgError::EmptyInput(what) => write!(f, "empty input: {what}"),
+            LinalgError::NonFinite(what) => write!(f, "non-finite input: {what}"),
         }
     }
 }
@@ -51,5 +54,7 @@ mod tests {
         assert!(e.to_string().contains("expected 3"));
         let e = LinalgError::EmptyInput("matrix");
         assert!(e.to_string().contains("matrix"));
+        let e = LinalgError::NonFinite("tridiagonal coefficient");
+        assert!(e.to_string().contains("non-finite"));
     }
 }

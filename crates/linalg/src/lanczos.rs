@@ -5,9 +5,12 @@
 //! `T_t = V_tᵀ A V_t`. Then (paper §5.1, refs \[45, 54\]):
 //!
 //! * `e^A v ≈ ‖v‖ · V_t · e^{T_t} e₁` — [`lanczos_expv`];
-//! * `vᵀ e^A v ≈ ‖v‖² · (e^{T_t})₁₁ = ‖v‖² Σ_j z₀ⱼ² e^{θⱼ}` — stochastic
-//!   Lanczos quadrature, [`slq_quadratic_form`], which never materializes the
-//!   basis and is the kernel under Hutchinson's trace estimator.
+//! * `vᵀ e^A v ≈ ‖v‖² · e₁ᵀ e^{T_t} e₁` — stochastic Lanczos quadrature,
+//!   [`slq_quadratic_form`], which never materializes the basis and is the
+//!   kernel under Hutchinson's trace estimator. The quadrature `e₁ᵀ e^{T_t}
+//!   e₁` comes from [`tridiag_exp11_lanes`], a scaled Taylor series on
+//!   `T_t` itself, not from the Gauss rule `Σ_j z₀ⱼ² e^{θⱼ}` over an
+//!   eigendecomposition.
 //!
 //! Per Lemma 2 (a corollary of Musco et al. \[45\]), `t = O(‖A‖₂ + log 1/ε)`
 //! iterations suffice; transit networks have tiny spectral norms (≈ 5), so
@@ -18,8 +21,9 @@
 //! Every entry point exists in two forms: the original allocating signature
 //! (kept for convenience and tests) and an `_in` variant taking a
 //! [`LanczosWorkspace`] that owns all scratch — the `v`/`v_prev`/`w`
-//! three-term recurrence vectors, a flat Krylov-basis buffer, the `α`/`β`
-//! coefficient arrays, and the small quadrature scratch. The allocating
+//! three-term recurrence vectors, a flat Krylov-basis buffer, and the
+//! `α`/`β` coefficient arrays; the quadrature borrows the recurrence
+//! vectors as scratch once the recurrence is done. The allocating
 //! forms are thin wrappers over the `_in` forms (one fresh workspace per
 //! call), so both compute bit-identical results. Hot loops — the Δ(e)
 //! precompute sweep above all — create one workspace per thread and reuse
@@ -33,15 +37,17 @@
 //! fixed-width lane tiles: each tile's recurrence runs on `[f64; L]` rows
 //! with one [`MatVec::matvec_lanes`] per Lanczos step, so the sparse matrix
 //! is streamed once per step per tile instead of once per probe per step,
-//! and every per-lane loop has a compile-time length.
+//! and every per-lane loop has a compile-time length. The tile's
+//! quadratures are one lane-wide [`tridiag_exp11_lanes`] call.
 
 use crate::error::LinalgError;
 use crate::matvec::MatVec;
-use crate::tridiag::{tridiag_eigen_first_row_in, tridiag_eigen_full};
+use crate::tridiag::{tridiag_eigen_full, tridiag_exp11_lanes};
 use crate::vector::{axpy, dot, norm, normalize};
 
-/// Tolerance, relative to `‖A‖·‖v‖`, below which a Lanczos β signals an
-/// invariant subspace (happy breakdown).
+/// Happy-breakdown threshold: a step whose `β ≤ BREAKDOWN_TOL·(1 + |α|)`
+/// (the current Lanczos vector has unit norm) has found an invariant
+/// subspace, and the recurrence stops there.
 const BREAKDOWN_TOL: f64 = 1e-13;
 
 /// Output of the (allocating) Lanczos tridiagonalization.
@@ -67,10 +73,9 @@ impl LanczosDecomposition {
 /// Reusable scratch for all Lanczos-family kernels.
 ///
 /// Holds the three recurrence vectors, an optional flat Krylov-basis buffer
-/// (row-major, one basis vector per `n`-chunk), the `α`/`β` arrays and the
-/// small tridiagonal-quadrature scratch. Buffers only ever grow, so a
-/// workspace reused across same-sized problems performs **zero** heap
-/// allocations after the first solve.
+/// (row-major, one basis vector per `n`-chunk) and the `α`/`β` arrays.
+/// Buffers only ever grow, so a workspace reused across same-sized problems
+/// performs **zero** heap allocations after the first solve.
 #[derive(Debug, Default, Clone)]
 pub struct LanczosWorkspace {
     // Recurrence vectors; length n (single-vector) or at least n·L (a
@@ -81,13 +86,11 @@ pub struct LanczosWorkspace {
     // Flat Krylov basis (single-vector kernels only), `steps_done` rows.
     basis: Vec<f64>,
     // Tridiagonal coefficients. Single-vector: `steps_done` alphas and
-    // `steps_done - 1` betas. Batched: strided per lane of the current tile.
+    // `steps_done - 1` betas. Batched: one `[f64; L]` row per step of the
+    // current tile.
     alphas: Vec<f64>,
     betas: Vec<f64>,
-    // Small dense scratch: quadrature buffers and expv coefficients.
-    quad_d: Vec<f64>,
-    quad_e: Vec<f64>,
-    quad_row: Vec<f64>,
+    // expv coefficients `e^T e₁`.
     coeff: Vec<f64>,
     // Reusable unit vector for expm_column_in (kept all-zero between calls).
     unit: Vec<f64>,
@@ -302,27 +305,6 @@ pub fn lanczos_expv_in<M: MatVec + ?Sized>(
     Ok(())
 }
 
-/// Quadrature `Σ_j z₀ⱼ² e^{θⱼ}` from the workspace's current `α`/`β` range,
-/// using its small scratch buffers. Summation runs over ascending
-/// eigenvalues, matching the allocating [`slq_quadratic_form`] path exactly.
-fn quadrature_in(
-    ws: &mut LanczosWorkspace,
-    a_lo: usize,
-    a_len: usize,
-    b_len: usize,
-) -> Result<f64, LinalgError> {
-    // Split borrows: coefficient slices vs. quadrature scratch.
-    let LanczosWorkspace { alphas, betas, quad_d, quad_e, quad_row, .. } = ws;
-    tridiag_eigen_first_row_in(
-        &alphas[a_lo..a_lo + a_len],
-        &betas[a_lo..a_lo + b_len],
-        quad_d,
-        quad_e,
-        quad_row,
-    )?;
-    Ok(quad_d.iter().zip(quad_row.iter()).map(|(&t, &w)| w * w * t.exp()).sum())
-}
-
 /// Approximates the quadratic form `vᵀ e^A v` by stochastic Lanczos
 /// quadrature with `steps` iterations (no basis stored).
 pub fn slq_quadratic_form<M: MatVec + ?Sized>(
@@ -343,8 +325,13 @@ pub fn slq_quadratic_form_in<M: MatVec + ?Sized>(
     ws: &mut LanczosWorkspace,
 ) -> Result<f64, LinalgError> {
     lanczos_tridiagonalize_in(a, v, steps, false, false, ws)?;
-    let (a_len, b_len) = (ws.steps_done, ws.steps_done.saturating_sub(1));
-    let quad = quadrature_in(ws, 0, a_len, b_len)?;
+    // The recurrence vectors (n ≥ t entries each) are free scratch now.
+    let [quad] = tridiag_exp11_lanes::<1>(
+        ws.alphas.as_chunks().0,
+        ws.betas.as_chunks().0,
+        ws.v.as_chunks_mut().0,
+        ws.w.as_chunks_mut().0,
+    )?;
     Ok(ws.initial_norm * ws.initial_norm * quad)
 }
 
@@ -358,14 +345,17 @@ pub fn slq_quadratic_form_in<M: MatVec + ?Sized>(
 /// the remainder). A tile holds its recurrence vectors as `[f64; L]` rows
 /// and its `α`, `β` and `1/β` values in lane arrays, runs its own `steps`
 /// Lanczos steps with one [`MatVec::matvec_lanes`] per step, and adds its
-/// quadratures to the total before the next tile starts. Per probe, every
-/// floating-point operation happens in the same order as a scalar
+/// quadratures, one [`tridiag_exp11_lanes`] call, to the total before the
+/// next tile starts. Per probe, every floating-point operation of the
+/// recurrence happens in the same order as a scalar
 /// [`slq_quadratic_form`] call — accumulators start at `0.0`, vectors are
 /// scaled by the reciprocals `1/‖p‖` and `1/β`, no fused multiply-add —
-/// and probes are summed in index order, so the result is
-/// **bit-identical** to the sequential loop. A probe that hits a happy
-/// breakdown retires its lane; the lane is zeroed and the tile runs on
-/// until every lane has retired or `steps` is reached.
+/// the quadrature kernel's lanes are independent of its width, and probes
+/// are summed in index order, so the result is **bit-identical** to the
+/// sequential loop. A probe that hits a happy breakdown retires its lane;
+/// the lane is zeroed and the tile runs on until every lane has retired or
+/// `steps` is reached. A retired lane's shorter `T` gets its own `L = 1`
+/// quadrature.
 ///
 /// The call leaves no single-vector run behind: afterwards
 /// [`LanczosWorkspace::steps`] is 0 and the coefficient accessors are
@@ -425,6 +415,8 @@ fn slq_tile<M: MatVec + ?Sized, const L: usize>(
     let mut v = ws.v[..n * L].as_chunks_mut::<L>().0;
     let mut v_prev = ws.v_prev[..n * L].as_chunks_mut::<L>().0;
     let w = ws.w[..n * L].as_chunks_mut::<L>().0;
+    let alphas = ws.alphas[..L * cap].as_chunks_mut::<L>().0;
+    let betas = ws.betas[..L * cap].as_chunks_mut::<L>().0;
 
     // Gather the tile into `w` and take ‖p_l‖ in `norm`'s left-fold order.
     let mut nrm = [0.0; L];
@@ -444,7 +436,8 @@ fn slq_tile<M: MatVec + ?Sized, const L: usize>(
     }
     scaled_copy(v, w, &inv);
 
-    // α's recorded per lane (its β's number one fewer).
+    // Row `step` of `alphas`/`betas` holds every lane's α/β of that step;
+    // `len[l]` counts lane l's α's (its β's number one fewer).
     let mut len = [0usize; L];
     let mut live = [true; L];
     let mut beta_prev = [0.0; L];
@@ -483,8 +476,8 @@ fn slq_tile<M: MatVec + ?Sized, const L: usize>(
             }
             *wr = x;
         }
+        alphas[step] = alpha;
         for l in (0..L).filter(|&l| live[l]) {
-            ws.alphas[l * cap + len[l]] = alpha[l];
             len[l] += 1;
         }
         if step + 1 == cap {
@@ -499,11 +492,11 @@ fn slq_tile<M: MatVec + ?Sized, const L: usize>(
             if beta[l] <= BREAKDOWN_TOL * (1.0 + alpha[l].abs()) {
                 live[l] = false; // happy breakdown: retire (and zero) the lane
             } else {
-                ws.betas[l * cap + len[l] - 1] = beta[l];
                 beta_prev[l] = beta[l];
                 inv[l] = 1.0 / beta[l];
             }
         }
+        betas[step] = beta;
         if !live.contains(&true) {
             break;
         }
@@ -512,10 +505,36 @@ fn slq_tile<M: MatVec + ?Sized, const L: usize>(
         scaled_copy(v, w, &inv);
     }
 
-    // Per-lane Gauss quadrature, summed in probe order.
+    // Every lane's quadrature in one call, on the free recurrence vectors
+    // (n ≥ t rows each); a retired lane's shorter T then gets its own
+    // L = 1 call, which its lane of the wide call matches bit for bit.
+    let t = len.iter().copied().max().unwrap_or(0);
+    let (alphas, betas) = (&ws.alphas[..L * t], &ws.betas[..L * t.saturating_sub(1)]);
+    let mut quad = tridiag_exp11_lanes::<L>(
+        alphas.as_chunks().0,
+        betas.as_chunks().0,
+        ws.v[..n * L].as_chunks_mut().0,
+        ws.w[..n * L].as_chunks_mut().0,
+    )?;
+    for l in (0..L).filter(|&l| len[l] < t) {
+        // Gather the lane into `v_prev` (n·L ≥ 2t entries, since L ≥ 2).
+        let (lane_a, lane_b) = ws.v_prev.split_at_mut(t);
+        let (lane_a, lane_b) = (&mut lane_a[..len[l]], &mut lane_b[..len[l] - 1]);
+        for (i, x) in lane_a.iter_mut().enumerate() {
+            *x = alphas[i * L + l];
+        }
+        for (i, x) in lane_b.iter_mut().enumerate() {
+            *x = betas[i * L + l];
+        }
+        [quad[l]] = tridiag_exp11_lanes::<1>(
+            lane_a.as_chunks().0,
+            lane_b.as_chunks().0,
+            ws.v.as_chunks_mut().0,
+            ws.w.as_chunks_mut().0,
+        )?;
+    }
     for l in 0..L {
-        let quad = quadrature_in(ws, l * cap, len[l], len[l].saturating_sub(1))?;
-        *total += nrm[l] * nrm[l] * quad;
+        *total += nrm[l] * nrm[l] * quad[l];
     }
     Ok(L)
 }

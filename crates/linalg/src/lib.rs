@@ -56,8 +56,7 @@ pub use matvec::{EdgeOverlay, MatVec};
 pub use rng::{gaussian_vector, probe_vector, probe_vector_in, rademacher_vector, ProbeKind};
 pub use sparse::CsrMatrix;
 pub use topk::{
-    block_krylov_head, block_krylov_topk, block_krylov_topk_warm, lanczos_topk, spectral_norm,
-    SpectrumHead,
+    block_krylov_head, block_krylov_topk, block_krylov_topk_warm, spectral_norm, SpectrumHead,
 };
 pub use trace::{hutchinson_trace_exp, hutchpp_trace_exp, PairedTraceEstimator, TraceParams};
 pub use util::logsumexp;

@@ -173,15 +173,6 @@ impl<'a> EdgeOverlay<'a> {
     pub fn base(&self) -> &'a CsrMatrix {
         self.base
     }
-
-    /// Materializes the augmented matrix (for callers that need a real CSR,
-    /// e.g. exact eigendecomposition or committing a pick).
-    // ctlint::allow(dead-pub): materializing counterpart of the overlay; matvec::tests hold it equal to with_added_unit_edges (ROADMAP item 6)
-    pub fn to_csr(&self) -> CsrMatrix {
-        let undirected: Vec<(u32, u32)> =
-            self.entries.iter().filter(|&&(u, v)| u < v).copied().collect();
-        self.base.with_added_unit_edges(&undirected)
-    }
 }
 
 impl MatVec for EdgeOverlay<'_> {
@@ -292,9 +283,6 @@ mod tests {
         let a = CsrMatrix::from_undirected_edges(4, &[(0, 1), (1, 2)]);
         let overlay = EdgeOverlay::new(&a, &[(0, 1), (2, 2), (2, 3), (3, 2), (2, 3)]);
         assert_eq!(overlay.entries, vec![(2, 3), (3, 2)]);
-        let csr = overlay.to_csr();
-        assert!(csr.has_edge(2, 3));
-        assert_eq!(csr.num_undirected_edges(), 3);
     }
 
     #[test]
@@ -307,13 +295,6 @@ mod tests {
         overlay.set_edges(&adds[..1]);
         assert_eq!(overlay.entries.capacity(), cap, "set_edges reallocated");
         assert_eq!(overlay.entries.len(), 2);
-    }
-
-    #[test]
-    fn to_csr_equals_with_added_unit_edges() {
-        let a = random_graph(25, 40, 6);
-        let adds = absent_edges(&a, 5);
-        assert_eq!(EdgeOverlay::new(&a, &adds).to_csr(), a.with_added_unit_edges(&adds));
     }
 
     #[test]

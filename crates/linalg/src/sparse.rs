@@ -22,48 +22,25 @@ impl CsrMatrix {
     /// unit entry, matching the paper's modelling of transit networks as
     /// simple undirected graphs.
     pub fn from_undirected_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let weighted: Vec<(u32, u32, f64)> = edges.iter().map(|&(u, v)| (u, v, 1.0)).collect();
-        Self::build(n, &weighted, true)
-    }
-
-    /// Builds a weighted symmetric matrix from undirected edges; duplicate
-    /// entries have their weights summed.
-    // ctlint::allow(dead-pub): weighted CSR constructor; its caller is sparse::tests::weighted_duplicates_sum (ROADMAP item 6)
-    pub fn from_weighted_undirected_edges(n: usize, edges: &[(u32, u32, f64)]) -> Self {
-        Self::build(n, edges, false)
-    }
-
-    fn build(n: usize, edges: &[(u32, u32, f64)], collapse_to_unit: bool) -> Self {
-        let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for &(u, v, w) in edges {
+        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for &(u, v) in edges {
             assert!((u as usize) < n && (v as usize) < n, "edge ({u},{v}) out of bounds for n={n}");
             if u == v {
                 continue;
             }
-            adj[u as usize].push((v, w));
-            adj[v as usize].push((u, w));
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
         }
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
         row_ptr.push(0usize);
         for row in adj.iter_mut() {
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < row.len() {
-                let c = row[i].0;
-                let mut w = row[i].1;
-                let mut j = i + 1;
-                while j < row.len() && row[j].0 == c {
-                    w += row[j].1;
-                    j += 1;
-                }
-                col_idx.push(c);
-                vals.push(if collapse_to_unit { 1.0 } else { w });
-                i = j;
-            }
+            row.sort_unstable();
+            row.dedup();
+            col_idx.extend_from_slice(row);
             row_ptr.push(col_idx.len());
         }
+        let vals = vec![1.0; col_idx.len()];
         CsrMatrix { n, row_ptr, col_idx, vals }
     }
 
@@ -256,14 +233,6 @@ mod tests {
         assert!(a.has_edge(0, 1));
         assert!(!a.has_edge(0, 2));
         assert!(!a.has_edge(0, 0));
-    }
-
-    #[test]
-    fn weighted_duplicates_sum() {
-        let a = CsrMatrix::from_weighted_undirected_edges(2, &[(0, 1, 2.0), (0, 1, 3.0)]);
-        let (cols, vals) = a.row_entries(0);
-        assert_eq!(cols, &[1]);
-        assert_eq!(vals, &[5.0]);
     }
 
     #[test]

@@ -1,19 +1,16 @@
 //! Top-k eigenvalues of sparse symmetric matrices.
 //!
 //! The Lemma 3/4 connectivity bounds need the `2k` (resp. `⌊(k+1)/2⌋`)
-//! algebraically largest eigenvalues of the transit adjacency matrix. Two
-//! methods are provided:
-//!
-//! * [`lanczos_topk`] — single-vector Lanczos with full reorthogonalization.
-//!   Fast, but like all single-vector Krylov methods it finds one copy of
-//!   each *distinct* eigenvalue, so repeated eigenvalues (common in graphs
-//!   with symmetric substructures) are under-counted.
-//! * [`block_krylov_head`] — randomized block Krylov with Rayleigh–Ritz
-//!   (paper ref \[44\]), returning the top values with their Ritz vectors.
-//!   A block wider than the largest multiplicity recovers repeated
-//!   eigenvalues; seeded with a previous head's vectors it re-converges in
-//!   a fraction of the Krylov columns. This is what the bound code uses;
-//!   [`block_krylov_topk`] and [`block_krylov_topk_warm`] are thin wrappers.
+//! algebraically largest eigenvalues of the transit adjacency matrix.
+//! [`block_krylov_head`] computes them by randomized block Krylov with
+//! Rayleigh–Ritz (paper ref \[44\]), returning the top values with their
+//! Ritz vectors. Single-vector Krylov methods find one copy of each
+//! *distinct* eigenvalue, so they under-count the repeated eigenvalues
+//! common in graphs with symmetric substructures; a block wider than the
+//! largest multiplicity recovers them. Seeded with a previous head's
+//! vectors it re-converges in a fraction of the Krylov columns. This is
+//! what the bound code uses; [`block_krylov_topk`] and
+//! [`block_krylov_topk_warm`] are thin wrappers.
 
 use rand::Rng;
 
@@ -33,30 +30,6 @@ const DEFLATION_TOL: f64 = 1e-10;
 /// columns: enough slack for the trailing Ritz values to converge (Lemmas
 /// 3–4 lose admissibility when top eigenvalues are under-estimated).
 const COLD_WANT_FLOOR: usize = 96;
-
-/// Top-`k` algebraically largest eigenvalues (descending) via single-vector
-/// Lanczos with full reorthogonalization.
-///
-/// Returns fewer than `k` values if the Krylov space is exhausted first
-/// (e.g. highly structured graphs with few distinct eigenvalues).
-// ctlint::allow(dead-pub): single-vector contrast to block Krylov described in the module docs; its caller is topk::tests (ROADMAP item 6)
-pub fn lanczos_topk<M: MatVec + ?Sized, R: Rng + ?Sized>(
-    a: &M,
-    k: usize,
-    rng: &mut R,
-) -> Result<Vec<f64>, LinalgError> {
-    let n = a.n();
-    if n == 0 {
-        return Err(LinalgError::EmptyInput("matrix"));
-    }
-    let steps = (2 * k + 20).min(n);
-    let v0 = gaussian_vector(rng, n);
-    let dec = lanczos_tridiagonalize(a, &v0, steps, false, true)?;
-    let mut ritz = tridiag_eigenvalues(&dec.alphas, &dec.betas)?;
-    ritz.reverse(); // descending
-    ritz.truncate(k);
-    Ok(ritz)
-}
 
 /// Top of a symmetric matrix's spectrum with Ritz vectors, as returned by
 /// [`block_krylov_head`]: `values` descending, `vectors[j]` the unit Ritz
@@ -266,20 +239,6 @@ mod tests {
         for (i, v) in top.iter().enumerate() {
             let want = exact[exact.len() - 1 - i];
             assert!((v - want).abs() < 1e-6, "rank {i}: {v} vs {want}");
-        }
-    }
-
-    #[test]
-    fn lanczos_topk_on_distinct_spectrum() {
-        // Path graph has all-distinct eigenvalues.
-        let n = 30usize;
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        let a = CsrMatrix::from_undirected_edges(n, &edges);
-        let mut rng = StdRng::seed_from_u64(9);
-        let top = lanczos_topk(&a, 5, &mut rng).unwrap();
-        for (i, v) in top.iter().enumerate() {
-            let want = 2.0 * ((i as f64 + 1.0) * std::f64::consts::PI / (n as f64 + 1.0)).cos();
-            assert!((v - want).abs() < 1e-8, "rank {i}: {v} vs {want}");
         }
     }
 

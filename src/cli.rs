@@ -250,6 +250,12 @@ impl Cli {
                 let demand = DemandModel::from_city(&city);
                 let planner = Planner::new(&city, &demand, params);
                 let res = planner.run(mode);
+                writeln!(
+                    out,
+                    "search: {} iterations, {} evaluations, stopped by {}",
+                    res.iterations, res.evaluations, res.stop
+                )
+                .map_err(w)?;
                 let plan = &res.best;
                 if plan.is_empty() {
                     writeln!(out, "no feasible route found").map_err(w)?;
@@ -1028,6 +1034,7 @@ mod tests {
         .unwrap();
         let text = String::from_utf8_lossy(&out);
         assert!(text.contains("objective"), "{text}");
+        assert!(text.contains(" iterations, ") && text.contains("stopped by "), "{text}");
         let geo: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&geo_path).unwrap()).unwrap();
         assert_eq!(geo["type"], "FeatureCollection");

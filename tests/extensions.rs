@@ -2,7 +2,8 @@
 //! demand, GTFS round-trips through planning, site selection and
 //! augmentation run on the same cities, Chebyshev backs the same trace
 //! pipeline as Lanczos, Lanczos `e^A v` matches the dense matrix
-//! exponential on city adjacencies, and the §2 measure comparison holds
+//! exponential on city adjacencies, the SLQ quadrature kernel matches the
+//! QL Gauss rule on city Lanczos runs, and the §2 measure comparison holds
 //! end to end.
 
 use ct_bus::core::{
@@ -11,9 +12,10 @@ use ct_bus::core::{
 };
 use ct_bus::data::{City, CityConfig, DemandModel, GtfsFeed};
 use ct_bus::graph::edge_connectivity;
+use ct_bus::linalg::tridiag::{tridiag_eigen_full, tridiag_exp11_lanes};
 use ct_bus::linalg::{
-    algebraic_connectivity_exact, chebyshev_expv, lanczos_expv, natural_connectivity_exact,
-    spectral_norm,
+    algebraic_connectivity_exact, chebyshev_expv, gaussian_vector, lanczos_expv,
+    lanczos_tridiagonalize, natural_connectivity_exact, spectral_norm, CsrMatrix, EdgeOverlay,
 };
 use ct_bus::matching::{simulate_trace, stitch_route, GpsSimConfig, HmmParams, MapMatcher};
 use ct_bus::spatial::{GeoPoint, Projection};
@@ -129,6 +131,53 @@ fn section2_measure_comparison_holds_on_generated_city() {
     // Fiedler value of the (possibly disconnected) damaged network is ~0.
     let f1 = algebraic_connectivity_exact(&damaged.adjacency_matrix()).unwrap();
     assert!(f1 < 0.05, "algebraic connectivity should have collapsed: {f1}");
+}
+
+/// The SLQ quadrature kernel on the tridiagonals of real Lanczos runs,
+/// built as the `connectivity` bench builds them (the transit network plus
+/// its first absent stop pair, Gaussian probes), in 16-lane tiles: every
+/// lane reads the QL Gauss rule `Σ_j z₀ⱼ² e^{θⱼ}` to 1e-13 relative, at
+/// `small_defaults`' t = 8 and the paper's t = 10.
+#[test]
+fn slq_quadrature_matches_ql_on_city_lanczos_runs() {
+    for cfg in [CityConfig::medium(), CityConfig::chicago_like()] {
+        let adj = cfg.generate().transit.adjacency_matrix();
+        let overlay = EdgeOverlay::new(&adj, &[first_absent_edge(&adj)]);
+        let mut rng = StdRng::seed_from_u64(3);
+        for steps in [8, 10] {
+            for _tile in 0..4 {
+                let runs: Vec<_> = (0..16)
+                    .map(|_| {
+                        let p = gaussian_vector(&mut rng, adj.n());
+                        lanczos_tridiagonalize(&overlay, &p, steps, false, false).unwrap()
+                    })
+                    .collect();
+                assert!(runs.iter().all(|r| r.steps() == steps), "no breakdown expected");
+                let alphas: Vec<[f64; 16]> =
+                    (0..steps).map(|i| std::array::from_fn(|l| runs[l].alphas[i])).collect();
+                let betas: Vec<[f64; 16]> =
+                    (0..steps - 1).map(|i| std::array::from_fn(|l| runs[l].betas[i])).collect();
+                let (mut z, mut term) = (vec![[0.0; 16]; steps], vec![[0.0; 16]; steps]);
+                let quad = tridiag_exp11_lanes(&alphas, &betas, &mut z, &mut term).unwrap();
+                for (run, got) in runs.iter().zip(quad) {
+                    // Row 0 of the eigenvector matrix holds the weights z₀ⱼ.
+                    let (theta, vecs) = tridiag_eigen_full(&run.alphas, &run.betas).unwrap();
+                    let ql: f64 = theta.iter().zip(&vecs).map(|(t, w)| w * w * t.exp()).sum();
+                    let rel = (got - ql).abs() / ql;
+                    assert!(rel < 1e-13, "{} t={steps}: kernel {got} vs QL {ql}", cfg.name);
+                }
+            }
+        }
+    }
+}
+
+/// The first stop pair (in row order) the network does not connect.
+fn first_absent_edge(adj: &CsrMatrix) -> (u32, u32) {
+    let n = adj.n() as u32;
+    (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .find(|&(u, v)| !adj.has_edge(u, v))
+        .expect("the network is not complete")
 }
 
 proptest! {
