@@ -273,7 +273,7 @@ fn main() {
                                 let result = snapshot.session().plan(mode);
                                 stats.plan_lat.push(t.elapsed());
                                 stats.plans += 1;
-                                state.record_plans(1);
+                                state.record_plan(result.stop);
                                 if result.best.is_empty() || result.best.objective <= 0.0 {
                                     break; // network saturated: nothing to commit
                                 }
@@ -334,7 +334,7 @@ fn main() {
                             };
                             stats.plan_lat.push(t.elapsed());
                             stats.plans += 1;
-                            state.record_plans(1);
+                            state.record_plan(result.stop);
                             if i % SAMPLE_EVERY == 0 {
                                 samples
                                     .lock()
@@ -374,7 +374,7 @@ fn main() {
         for attempt in 1..=MAX_CHAOS_COMMIT_ATTEMPTS {
             let snapshot = state.current();
             let result = snapshot.session().plan(mode);
-            state.record_plans(1);
+            state.record_plan(result.stop);
             if result.best.is_empty() || result.best.objective <= 0.0 {
                 eprintln!("loadgen: chaos recovery — network saturated, nothing left to commit");
                 recovered_after = Some(attempt);
@@ -433,6 +433,7 @@ fn main() {
             percentile(&plan_lat, 1.0).as_secs_f64() * 1e3
         );
     }
+    println!("{}", serve_stats.stops);
     println!(
         "commits: {} applied, {} stale, {} failed, {} shed, {} invalid, {give_ups} gave up — \
          final generation {} ({})",

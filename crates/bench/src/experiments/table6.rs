@@ -9,12 +9,7 @@ use ct_core::{evaluate_plan, Planner, PlannerMode, RoutePlan};
 
 use crate::harness::{f, ExperimentCtx, OutputSink};
 
-fn row_for(
-    label: &str,
-    planner: &Planner<'_>,
-    city: &ct_data::City,
-    plan: &RoutePlan,
-) -> Vec<String> {
+fn row_for(label: &str, planner: &Planner, city: &ct_data::City, plan: &RoutePlan) -> Vec<String> {
     let m = evaluate_plan(city, plan, &planner.precomputed().candidates);
     let conn_norm = plan.conn_increment / planner.precomputed().lambda_max;
     vec![

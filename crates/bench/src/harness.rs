@@ -118,7 +118,7 @@ impl ExperimentCtx {
 
     /// Builds a planner for a prepared city under `params`, re-deriving the
     /// parameter-dependent pre-computation cheaply.
-    pub fn planner<'b>(&'b self, name: &str, params: CtBusParams) -> Planner<'b> {
+    pub fn planner(&self, name: &str, params: CtBusParams) -> Planner {
         let b = self.bundle(name);
         Planner::with_precomputed(&b.city, params, b.pre.reparameterize(&params))
     }

@@ -6,12 +6,19 @@
 //! the two stops ("each new edge conducted the shortest path between its two
 //! ends, then we put the edge demand by summing up edges in the road
 //! network", §7.1.3).
+//!
+//! The pool also fixes every junction a route can make: a route's
+//! consecutive hops are candidates, so each turn it takes is
+//! `prev → mid → next` with `prev` and `next` candidate neighbours of
+//! `mid`. [`CandidateSet::build`] classifies all of them once, and the
+//! planner reads the class instead of computing the angle.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ct_data::{City, DemandModel};
 use ct_graph::{dijkstra_tree, reconstruct_path};
-use ct_spatial::GridIndex;
+use ct_spatial::{turn_angle, GridIndex, Point, TurnClass};
 use serde::{Deserialize, Serialize};
 
 /// One candidate edge for route construction.
@@ -48,12 +55,86 @@ impl CandidateEdge {
     }
 }
 
-/// The full candidate pool with per-stop incidence lists.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The full candidate pool with per-stop incidence lists and the turn
+/// class of every junction two candidates can form.
+#[derive(Debug, Clone)]
 pub struct CandidateSet {
     edges: Vec<CandidateEdge>,
     by_stop: Vec<Vec<u32>>,
     num_new: usize,
+    /// Shared by every clone: promotion and demand refresh never add or
+    /// remove a stop pair, so no later state of the pool changes it.
+    turns: Arc<TurnTable>,
+}
+
+/// The turn class at `mid` of every `prev → mid → next` where `prev` and
+/// `next` are candidate neighbours of `mid`, keyed by stop ids.
+///
+/// Stop `mid`'s neighbours are `nbrs[start[mid]..start[mid + 1]]`,
+/// ascending, and its classes a `deg × deg` block of `classes` from
+/// `block[mid]`, with `(prev, next) = (nbrs[i], nbrs[j])` at `i·deg + j`.
+/// Every entry is `TurnClass::from_angle(turn_angle(..))` on the stops'
+/// positions, so a lookup returns exactly what computing the angle would.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct TurnTable {
+    start: Vec<u32>,
+    nbrs: Vec<u32>,
+    block: Vec<u32>,
+    classes: Vec<TurnClass>,
+}
+
+impl TurnTable {
+    /// Classifies every junction of the pool given by `edges` and its
+    /// incidence lists `by_stop`, stops placed at `positions`.
+    fn build(positions: &[Point], edges: &[CandidateEdge], by_stop: &[Vec<u32>]) -> TurnTable {
+        let mut start = vec![0];
+        let mut nbrs = Vec::new();
+        let mut block = vec![0];
+        let mut classes = Vec::new();
+        let mut list = Vec::new();
+        for (mid, ids) in by_stop.iter().enumerate() {
+            list.clear();
+            list.extend(ids.iter().map(|&id| edges[id as usize].other(mid as u32)));
+            list.sort_unstable();
+            list.dedup();
+            let deg = list.len();
+            let base = classes.len();
+            classes.resize(base + deg * deg, TurnClass::Straight);
+            let at = &positions[mid];
+            // `turn_angle` is symmetric in `prev` and `next` bit for bit
+            // (swapping them negates both difference vectors, which is
+            // exact), so each unordered pair is computed once.
+            for (i, &prev) in list.iter().enumerate() {
+                for (j, &next) in list.iter().enumerate().skip(i) {
+                    let class = TurnClass::from_angle(turn_angle(
+                        &positions[prev as usize],
+                        at,
+                        &positions[next as usize],
+                    ));
+                    classes[base + i * deg + j] = class;
+                    classes[base + j * deg + i] = class;
+                }
+            }
+            nbrs.extend_from_slice(&list);
+            start.push(nbrs.len() as u32);
+            block.push(classes.len() as u32);
+        }
+        TurnTable { start, nbrs, block, classes }
+    }
+
+    /// The class of the junction `prev → mid → next`.
+    ///
+    /// # Panics
+    /// Panics if `prev` or `next` is not a candidate neighbour of `mid`.
+    pub(crate) fn class(&self, prev: u32, mid: u32, next: u32) -> TurnClass {
+        let mid = mid as usize;
+        let nbrs = &self.nbrs[self.start[mid] as usize..self.start[mid + 1] as usize];
+        let slot = |s: u32| {
+            nbrs.binary_search(&s)
+                .unwrap_or_else(|_| panic!("stop {s} is not a candidate neighbour of stop {mid}"))
+        };
+        self.classes[self.block[mid] as usize + slot(prev) * nbrs.len() + slot(next)]
+    }
 }
 
 impl CandidateSet {
@@ -145,7 +226,8 @@ impl CandidateSet {
             by_stop[e.u as usize].push(id as u32);
             by_stop[e.v as usize].push(id as u32);
         }
-        CandidateSet { edges, by_stop, num_new }
+        let turns = Arc::new(TurnTable::build(&positions, &edges, &by_stop));
+        CandidateSet { edges, by_stop, num_new, turns }
     }
 
     /// Total number of candidates.
@@ -176,6 +258,16 @@ impl CandidateSet {
     /// Candidate ids incident to `stop`.
     pub fn incident(&self, stop: u32) -> &[u32] {
         &self.by_stop[stop as usize]
+    }
+
+    /// Number of stops the pool was built over.
+    pub(crate) fn num_stops(&self) -> usize {
+        self.by_stop.len()
+    }
+
+    /// The turn table: the class of every junction two candidates form.
+    pub(crate) fn turns(&self) -> &Arc<TurnTable> {
+        &self.turns
     }
 
     /// Demand values indexed by candidate id (builds the `L_d` input).
@@ -397,6 +489,66 @@ mod tests {
         }
         // Empty promotion is the identity and reports it as an empty map.
         assert!(set.promote_to_existing(&[]).is_empty());
+    }
+
+    /// Checks every class in `set`'s turn table against `turn_angle` on
+    /// `city`'s stops: for every stop and every ordered pair of its
+    /// candidate neighbours, the diagonal included. Returns the number of
+    /// distinct-neighbour pairs checked.
+    fn assert_turn_table_matches_geometry(city: &City, set: &CandidateSet) -> usize {
+        let pos = |s: u32| &city.transit.stop(s).pos;
+        let mut pairs = 0;
+        for mid in 0..city.transit.num_stops() as u32 {
+            let mut nbrs: Vec<u32> =
+                set.incident(mid).iter().map(|&id| set.edge(id).other(mid)).collect();
+            nbrs.sort_unstable();
+            nbrs.dedup();
+            for &prev in &nbrs {
+                for &next in &nbrs {
+                    let angle = turn_angle(pos(prev), pos(mid), pos(next));
+                    // The build computes each unordered pair once.
+                    let mirrored = turn_angle(pos(next), pos(mid), pos(prev));
+                    assert_eq!(angle.to_bits(), mirrored.to_bits(), "{prev} → {mid} → {next}");
+                    assert_eq!(
+                        set.turns().class(prev, mid, next),
+                        TurnClass::from_angle(angle),
+                        "{prev} → {mid} → {next}"
+                    );
+                    pairs += usize::from(prev != next);
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn turn_table_matches_turn_angle_on_small_and_medium() {
+        for city in [CityConfig::small().generate(), CityConfig::medium().generate()] {
+            let demand = DemandModel::from_city(&city);
+            let set = CandidateSet::build(&city, &demand, 450.0, 6.0);
+            assert!(assert_turn_table_matches_geometry(&city, &set) > 0, "{}", city.name);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "chicago_like candidate build; run with --release")]
+    fn turn_table_matches_turn_angle_on_chicago_like() {
+        let city = CityConfig::chicago_like().generate();
+        let demand = DemandModel::from_city(&city);
+        let set = CandidateSet::build(&city, &demand, 450.0, 6.0);
+        assert!(assert_turn_table_matches_geometry(&city, &set) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a candidate neighbour")]
+    fn turn_lookup_rejects_a_stop_that_is_not_a_neighbour() {
+        let (city, demand) = setup();
+        let set = CandidateSet::build(&city, &demand, 450.0, 6.0);
+        let mid = (0..city.transit.num_stops() as u32)
+            .find(|&s| !set.incident(s).is_empty())
+            .expect("some stop has a candidate");
+        let nbr = set.edge(set.incident(mid)[0]).other(mid);
+        set.turns().class(nbr, mid, mid);
     }
 
     #[test]

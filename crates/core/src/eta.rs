@@ -146,6 +146,10 @@ impl fmt::Display for StopReason {
 
 /// The CT-Bus planner: pre-computation plus Algorithm 1 in all variants.
 ///
+/// The planner owns its pre-computation, and everything it reads about
+/// the city is in there: the candidates, their demand and Δ(e), and the
+/// turn class of every junction two candidates form.
+///
 /// ```
 /// use ct_data::{CityConfig, DemandModel};
 /// use ct_core::{CtBusParams, Planner, PlannerMode};
@@ -160,23 +164,31 @@ impl fmt::Display for StopReason {
 /// let reference = planner.run_sequential(PlannerMode::EtaPre);
 /// assert_eq!(result.best, reference.best);
 /// ```
-pub struct Planner<'a> {
-    city: &'a City,
+pub struct Planner {
     params: CtBusParams,
     pre: Precomputed,
 }
 
-impl<'a> Planner<'a> {
+impl Planner {
     /// Builds a planner, running the full pre-computation stage.
-    pub fn new(city: &'a City, demand: &DemandModel, params: CtBusParams) -> Self {
+    pub fn new(city: &City, demand: &DemandModel, params: CtBusParams) -> Self {
         assert!(params.validate().is_empty(), "invalid params: {:?}", params.validate());
         let pre = Precomputed::build(city, demand, &params);
-        Planner { city, params, pre }
+        Planner { params, pre }
     }
 
-    /// Builds a planner around an existing pre-computation.
-    pub fn with_precomputed(city: &'a City, params: CtBusParams, pre: Precomputed) -> Self {
-        Planner { city, params, pre }
+    /// Builds a planner around an existing pre-computation of `city`.
+    ///
+    /// # Panics
+    /// Panics if `pre` was built over a different number of stops than
+    /// `city` has (it then cannot be this city's).
+    pub fn with_precomputed(city: &City, params: CtBusParams, pre: Precomputed) -> Self {
+        assert_eq!(
+            pre.candidates.num_stops(),
+            city.transit.num_stops(),
+            "the pre-computation was built for a city with a different number of stops"
+        );
+        Planner { params, pre }
     }
 
     /// The pre-computation artifacts.
@@ -207,7 +219,7 @@ impl<'a> Planner<'a> {
     /// [`Planner::run`] with an explicit worker count (exposed for the
     /// thread-invariance tests and benches).
     pub fn run_with_threads(&self, mode: PlannerMode, threads: usize) -> RunResult {
-        execute_plan(self.city, &self.params, &self.pre, mode, threads)
+        execute_plan(&self.params, &self.pre, mode, threads)
     }
 }
 
@@ -217,20 +229,18 @@ impl<'a> Planner<'a> {
 /// A mode that scores online gets one [`ScoreMemo`] for the run; linear
 /// modes build none.
 pub(crate) fn execute_plan(
-    city: &City,
     params: &CtBusParams,
     pre: &Precomputed,
     mode: PlannerMode,
     threads: usize,
 ) -> RunResult {
     let memo = mode.config().online_scoring.then(ScoreMemo::default);
-    execute_plan_with(city, params, pre, mode, threads, memo.as_ref())
+    execute_plan_with(params, pre, mode, threads, memo.as_ref())
 }
 
 /// [`execute_plan`] with the online-increment memo chosen by the caller
 /// (`None` solves every evaluation).
 pub(crate) fn execute_plan_with(
-    city: &City,
     params: &CtBusParams,
     pre: &Precomputed,
     mode: PlannerMode,
@@ -259,7 +269,7 @@ pub(crate) fn execute_plan_with(
         bound_list.iter_desc().filter(|&id| admissible(id)).take(params.sn).collect()
     };
 
-    let mk_ctx = || ExpandCtx::new(city, pre, params, cfg, w, &le_values, bound_list, memo);
+    let mk_ctx = || ExpandCtx::new(pre, params, cfg, w, &le_values, bound_list, memo);
     let frontier = with_executor(threads, &mk_ctx, |executor| {
         let mut frontier = Frontier::new(&cfg, params);
 
@@ -489,9 +499,9 @@ mod tests {
         let mut evaluations = 0;
         let mut single: Option<RunResult> = None;
         for threads in [1, 2, 4] {
-            let off = execute_plan_with(city, &params, &pre, PlannerMode::Eta, threads, None);
+            let off = execute_plan_with(&params, &pre, PlannerMode::Eta, threads, None);
             let memo = ScoreMemo::default();
-            let on = execute_plan_with(city, &params, &pre, PlannerMode::Eta, threads, Some(&memo));
+            let on = execute_plan_with(&params, &pre, PlannerMode::Eta, threads, Some(&memo));
             assert_same_run(&off, &on, &format!("threads={threads}"));
             let single = single.get_or_insert_with(|| on.clone());
             assert_same_run(single, &on, &format!("threads=1 vs threads={threads}"));

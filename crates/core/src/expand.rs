@@ -9,12 +9,12 @@
 //!    the shared max-priority frontier, in strict best-first order,
 //!    pruning against the epoch-start incumbent `O_max`.
 //! 2. **Expand** (parallel): each drained path is extended and scored by
-//!    an [`ExpandCtx`] — a `Send` context borrowing the city and
-//!    pre-computation immutably and owning thread-local Lanczos/overlay
-//!    scratch. Workers pull batch indices off an atomic counter (work
-//!    stealing, same discipline as `precompute::sweep_deltas`); every
-//!    expansion is a pure function of the drained path and the frozen
-//!    probes, so the schedule cannot affect values.
+//!    an [`ExpandCtx`] — a `Send` context borrowing the pre-computation
+//!    immutably and owning thread-local Lanczos/overlay scratch. Workers
+//!    pull batch indices off an atomic counter (work stealing, same
+//!    discipline as `precompute::sweep_deltas`); every expansion is a pure
+//!    function of the drained path and the frozen probes, so the schedule
+//!    cannot affect values.
 //!
 //!    The pool lives for the whole run. Each epoch goes out to every
 //!    worker as an `Arc` of the batch and its cursor, over a bounded
@@ -40,9 +40,8 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
-use ct_data::City;
 use ct_linalg::{EdgeOverlay, LanczosWorkspace};
-use ct_spatial::{turn_angle, TurnClass};
+use ct_spatial::TurnClass;
 
 use crate::eta::StopReason;
 use crate::params::CtBusParams;
@@ -174,12 +173,12 @@ pub(crate) type ScoreMemo = Mutex<HashMap<Vec<u32>, f64>>;
 /// feasibility, extend, and score candidate paths, independent of any
 /// other worker.
 ///
-/// Borrows the [`City`] and [`Precomputed`] immutably (shared across
-/// workers) and owns its scoring scratch, so values are `Send` and every
-/// method is a pure function of its inputs and the frozen probes —
-/// the property the engine's bit-identity contract rests on.
+/// Borrows the [`Precomputed`] immutably (shared across workers) and owns
+/// its scoring scratch, so values are `Send` and every method is a pure
+/// function of its inputs and the frozen probes — the property the
+/// engine's bit-identity contract rests on. Turn classes come from the
+/// candidate pool's turn table, so no geometry is computed here.
 pub(crate) struct ExpandCtx<'a> {
-    city: &'a City,
     pre: &'a Precomputed,
     params: &'a CtBusParams,
     cfg: ModeConfig,
@@ -198,9 +197,7 @@ pub(crate) struct ExpandCtx<'a> {
 }
 
 impl<'a> ExpandCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        city: &'a City,
         pre: &'a Precomputed,
         params: &'a CtBusParams,
         cfg: ModeConfig,
@@ -215,7 +212,7 @@ impl<'a> ExpandCtx<'a> {
             edge_buf: Vec::new(),
             key: Vec::new(),
         });
-        ExpandCtx { city, pre, params, cfg, w, le_values, bound_list, scratch, memo, evals: 0 }
+        ExpandCtx { pre, params, cfg, w, le_values, bound_list, scratch, memo, evals: 0 }
     }
 
     /// Whether candidate `id` may appear on a route under the mode.
@@ -436,20 +433,17 @@ impl<'a> ExpandCtx<'a> {
         }
     }
 
+    /// The class of the junction that appending stop `far` at `end` makes.
     fn turn_class_at(&self, path: &CandPath, far: u32, end: End) -> TurnClass {
-        if path.stops.len() < 2 {
+        let n = path.stops.len();
+        if n < 2 {
             return TurnClass::Straight;
         }
-        let transit = &self.city.transit;
-        let pos = |s: u32| transit.stop(s).pos;
-        let angle = match end {
-            End::Back => {
-                let n = path.stops.len();
-                turn_angle(&pos(path.stops[n - 2]), &pos(path.stops[n - 1]), &pos(far))
-            }
-            End::Front => turn_angle(&pos(far), &pos(path.stops[0]), &pos(path.stops[1])),
-        };
-        TurnClass::from_angle(angle)
+        let turns = self.pre.candidates.turns();
+        match end {
+            End::Back => turns.class(path.stops[n - 2], path.stops[n - 1], far),
+            End::Front => turns.class(far, path.stops[0], path.stops[1]),
+        }
     }
 
     /// Appends `e_id` to `path` at `end`; returns false (path unchanged in
@@ -762,18 +756,18 @@ mod tests {
     use crate::fault::panic_message;
     use crate::PlannerMode;
 
-    fn fixture() -> (City, Precomputed, CtBusParams) {
+    fn fixture() -> (Precomputed, CtBusParams) {
         let city = CityConfig::small().seed(21).generate();
         let demand = DemandModel::from_city(&city);
         let params = CtBusParams::small_defaults();
         let pre = Precomputed::build(&city, &demand, &params);
-        (city, pre, params)
+        (pre, params)
     }
 
     /// Maps `items` on a pool of `threads` linear EtaPre contexts; every
     /// context build runs `check` first.
     fn run_pool(
-        (city, pre, params): &(City, Precomputed, CtBusParams),
+        (pre, params): &(Precomputed, CtBusParams),
         threads: usize,
         items: Vec<WorkItem>,
         check: impl Fn() + Sync,
@@ -783,7 +777,7 @@ mod tests {
         let list = RankedList::new(&le_values);
         let mk_ctx = || {
             check();
-            ExpandCtx::new(city, pre, params, cfg, params.w, &le_values, &list, None)
+            ExpandCtx::new(pre, params, cfg, params.w, &le_values, &list, None)
         };
         with_executor(threads, &mk_ctx, |executor| executor.map(items))
     }

@@ -95,6 +95,7 @@ pub use rknn::{rknn_demand, route_service_distance, RknnDemand, RknnParams};
 pub use scorer::online_increment_in;
 pub use serve::{
     validate_ticket, CommitOutcome, CommitTicket, ServePolicy, ServeState, ServeStats, Snapshot,
+    StopCounts,
 };
 pub use session::{CommitSummary, PlanningSession, RefreshPolicy};
 pub use sites::{select_sites, SelectedSite, SiteParams, SiteSelection};

@@ -83,6 +83,7 @@
 //! commits publish nothing, so the oracle is indexed by *applied* commits
 //! only — chaos runs replay it too.
 
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, TryLockError};
@@ -90,6 +91,7 @@ use std::time::{Duration, Instant};
 
 use ct_data::{City, DemandModel};
 
+use crate::eta::StopReason;
 use crate::fault::{self, FaultError, FaultInjector};
 use crate::params::CtBusParams;
 use crate::plan::RoutePlan;
@@ -256,8 +258,10 @@ pub struct ServeStats {
     /// Sessions checked out ([`ServeState::session`] /
     /// [`ServeState::current`]).
     pub checkouts: u64,
-    /// Plans reported finished by workers ([`ServeState::record_plans`]).
+    /// Plans reported finished by workers ([`ServeState::record_plan`]).
     pub plans: u64,
+    /// The same plans by why their search stopped.
+    pub stops: StopCounts,
     /// Commits applied and published.
     pub commits_applied: u64,
     /// Commits rejected as stale.
@@ -275,6 +279,34 @@ pub struct ServeStats {
     pub consecutive_failures: u64,
     /// Current published generation.
     pub generation: u64,
+}
+
+/// Finished plans counted by [`StopReason`]. Its `Display` is the one
+/// line the serving drivers print, `plans stopped by: 0 bound, 0 exhausted
+/// queue, 6 iteration cap`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StopCounts {
+    /// Plans whose best remaining bound could not beat the incumbent.
+    pub bound: u64,
+    /// Plans whose queue ran empty.
+    pub exhausted: u64,
+    /// Plans cut short at `it_max`.
+    pub iteration_cap: u64,
+}
+
+impl fmt::Display for StopCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "plans stopped by: {} {}, {} {}, {} {}",
+            self.bound,
+            StopReason::Bound,
+            self.exhausted,
+            StopReason::Exhausted,
+            self.iteration_cap,
+            StopReason::IterationCap
+        )
+    }
 }
 
 impl ServeStats {
@@ -331,6 +363,9 @@ pub struct ServeState {
     queue_depth: AtomicUsize,
     checkouts: AtomicU64,
     plans: AtomicU64,
+    stopped_by_bound: AtomicU64,
+    stopped_exhausted: AtomicU64,
+    stopped_at_cap: AtomicU64,
     commits_applied: AtomicU64,
     commits_stale: AtomicU64,
     commits_failed: AtomicU64,
@@ -366,6 +401,9 @@ impl ServeState {
             queue_depth: AtomicUsize::new(0),
             checkouts: AtomicU64::new(0),
             plans: AtomicU64::new(0),
+            stopped_by_bound: AtomicU64::new(0),
+            stopped_exhausted: AtomicU64::new(0),
+            stopped_at_cap: AtomicU64::new(0),
             commits_applied: AtomicU64::new(0),
             commits_stale: AtomicU64::new(0),
             commits_failed: AtomicU64::new(0),
@@ -571,10 +609,16 @@ impl ServeState {
         CommitOutcome::Failed { reason }
     }
 
-    /// Folds `n` finished plans into the service counters (workers batch
-    /// this; the serving state does not sit on the planning hot path).
-    pub fn record_plans(&self, n: u64) {
-        self.plans.fetch_add(n, Ordering::Relaxed);
+    /// Counts one finished plan and why its search stopped (workers report
+    /// it; the serving state does not sit on the planning hot path).
+    pub fn record_plan(&self, stop: StopReason) {
+        self.plans.fetch_add(1, Ordering::Relaxed);
+        let counter = match stop {
+            StopReason::Bound => &self.stopped_by_bound,
+            StopReason::Exhausted => &self.stopped_exhausted,
+            StopReason::IterationCap => &self.stopped_at_cap,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the service counters.
@@ -582,6 +626,11 @@ impl ServeState {
         ServeStats {
             checkouts: self.checkouts.load(Ordering::Relaxed),
             plans: self.plans.load(Ordering::Relaxed),
+            stops: StopCounts {
+                bound: self.stopped_by_bound.load(Ordering::Relaxed),
+                exhausted: self.stopped_exhausted.load(Ordering::Relaxed),
+                iteration_cap: self.stopped_at_cap.load(Ordering::Relaxed),
+            },
             commits_applied: self.commits_applied.load(Ordering::Relaxed),
             commits_stale: self.commits_stale.load(Ordering::Relaxed),
             commits_failed: self.commits_failed.load(Ordering::Relaxed),

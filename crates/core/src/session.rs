@@ -310,7 +310,7 @@ impl PlanningSession {
     pub fn plan_with_threads(&mut self, mode: PlannerMode, threads: usize) -> RunResult {
         self.ensure_precomputed();
         let pre = self.pre.as_ref().expect("ensured above");
-        execute_plan(&self.city, &self.params, pre, mode, threads)
+        execute_plan(&self.params, pre, mode, threads)
     }
 
     /// Commits a planned route: the scenario state absorbs it and the
@@ -508,6 +508,7 @@ mod tests {
     /// they are wall-clock, everything else must be bit-identical).
     fn assert_pre_identical(a: &Precomputed, b: &Precomputed, what: &str) {
         assert_eq!(a.candidates.edges(), b.candidates.edges(), "{what}: candidates");
+        assert_turns_identical(a, b, what);
         assert_eq!(a.delta, b.delta, "{what}: delta");
         assert_eq!(a.d_max, b.d_max, "{what}: d_max");
         assert_eq!(a.lambda_max, b.lambda_max, "{what}: lambda_max");
@@ -522,6 +523,53 @@ mod tests {
             assert_eq!(a.ld.value(id), b.ld.value(id), "{what}: ld[{id}]");
             assert_eq!(a.llambda.value(id), b.llambda.value(id), "{what}: llambda[{id}]");
         }
+    }
+
+    /// The turn tables of two pre-computations hold the same classes.
+    fn assert_turns_identical(a: &Precomputed, b: &Precomputed, what: &str) {
+        assert!(*a.candidates.turns() == *b.candidates.turns(), "{what}: turn table");
+    }
+
+    #[test]
+    fn commits_of_either_tier_keep_the_turn_table_of_a_cold_build() {
+        // Commits only flip candidates to existing, so the session keeps
+        // its one table, and that table is what a rebuild would classify.
+        for refresh in [RefreshPolicy::Exact, RefreshPolicy::Approximate] {
+            let (city, demand, params) = setup();
+            let mut session = PlanningSession::new(city, demand, params).with_refresh(refresh);
+            let table = Arc::clone(session.precomputed().candidates.turns());
+            for round in 0..2 {
+                let result = session.plan(PlannerMode::EtaPre);
+                if result.best.is_empty() || result.best.objective <= 0.0 {
+                    break;
+                }
+                session.commit(&result.best);
+                let fresh = Precomputed::build(session.city(), session.demand(), session.params());
+                let what = format!("{refresh:?} round {round}");
+                assert_turns_identical(session.precomputed(), &fresh, &what);
+                assert!(Arc::ptr_eq(&table, session.precomputed().candidates.turns()), "{what}");
+            }
+            assert!(session.commits() >= 1, "{refresh:?}: no route committed");
+        }
+    }
+
+    #[test]
+    fn branch_and_reparameterize_share_the_turn_table() {
+        let (city, demand, params) = setup();
+        let mut session = PlanningSession::new(city, demand, params);
+        let table = Arc::clone(session.precomputed().candidates.turns());
+        let mut branch = session.branch();
+        assert!(Arc::ptr_eq(&table, branch.precomputed().candidates.turns()), "branch");
+        // The branch shares its snapshot, so its commit clones it first.
+        let result = branch.plan(PlannerMode::EtaPre);
+        assert!(!result.best.is_empty());
+        branch.commit(&result.best);
+        assert!(Arc::ptr_eq(&table, branch.precomputed().candidates.turns()), "cloned commit");
+        let mut other = params;
+        other.k = 4;
+        other.w = 0.8;
+        let again = session.precomputed().reparameterize(&other);
+        assert!(Arc::ptr_eq(&table, again.candidates.turns()), "reparameterize");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! degenerate regimes the unit tests do not reach.
 
 use ct_core::{evaluate_plan, CtBusParams, DeltaMethod, Planner, PlannerMode, Precomputed};
-use ct_data::{CityConfig, DemandModel};
+use ct_data::{City, CityConfig, DemandModel};
+use ct_spatial::{turn_angle, TurnClass};
 
 #[test]
 fn zero_demand_corpus_still_plans_a_connectivity_route() {
@@ -155,4 +156,37 @@ fn run_result_bookkeeping_is_consistent() {
     // Final trace value equals the best plan's pre-rescore objective up to
     // the SLQ re-scoring delta; both must be positive here.
     assert!(res.trace.last().unwrap().1 > 0.0);
+}
+
+/// A plan's junctions recounted from its stops' positions: how many
+/// interior stops deflect enough to be a `Turn`, and whether any is
+/// `Sharp`.
+fn recount_turns(city: &City, stops: &[u32]) -> (u32, bool) {
+    let pos = |s: u32| &city.transit.stop(s).pos;
+    let classes: Vec<TurnClass> = stops
+        .windows(3)
+        .map(|w| TurnClass::from_angle(turn_angle(pos(w[0]), pos(w[1]), pos(w[2]))))
+        .collect();
+    let turns = classes.iter().filter(|&&c| c == TurnClass::Turn).count() as u32;
+    (turns, classes.contains(&TurnClass::Sharp))
+}
+
+#[test]
+fn plan_turns_match_the_route_geometry_in_every_mode() {
+    for city in [CityConfig::small().generate(), CityConfig::medium().generate()] {
+        let demand = DemandModel::from_city(&city);
+        let mut params = CtBusParams::small_defaults();
+        params.k = 10;
+        params.sn = 40;
+        params.it_max = 300;
+        let planner = Planner::new(&city, &demand, params);
+        for mode in PlannerMode::ALL {
+            let plan = planner.run(mode).best;
+            let what = format!("{} {mode:?}", city.name);
+            assert!(!plan.is_empty(), "{what}: no route");
+            let (turns, sharp) = recount_turns(&city, &plan.stops);
+            assert_eq!(plan.turns, turns, "{what}: turns of {:?}", plan.stops);
+            assert!(!sharp, "{what}: a sharp junction in {:?}", plan.stops);
+        }
+    }
 }

@@ -13,7 +13,7 @@ use ct_core::{CtBusParams, Planner, PlannerMode, Precomputed};
 use ct_data::{City, CityConfig, DemandModel};
 use proptest::prelude::*;
 
-fn assert_runs_identical(planner: &Planner<'_>, mode: PlannerMode, threads: usize) {
+fn assert_runs_identical(planner: &Planner, mode: PlannerMode, threads: usize) {
     let reference = planner.run_sequential(mode);
     let parallel = planner.run_with_threads(mode, threads);
     assert_eq!(parallel.best, reference.best, "{mode:?} best diverged at threads={threads}");

@@ -1,4 +1,4 @@
-//! Heading and turn-angle computation.
+//! Turn-angle computation.
 //!
 //! The paper's feasibility rules (Algorithm 2) classify the angle between
 //! consecutive route edges: a deflection greater than `π/4` counts as a turn,
@@ -36,12 +36,6 @@ impl TurnClass {
             TurnClass::Straight
         }
     }
-}
-
-/// Heading of the segment `a → b` in radians in `(-π, π]`, measured from +x.
-// ctlint::allow(dead-pub): geometry API; its caller is angle::tests::heading_cardinal_directions (ROADMAP item 6)
-pub fn heading(a: &Point, b: &Point) -> f64 {
-    (b.y - a.y).atan2(b.x - a.x)
 }
 
 /// Deflection angle at `mid` when travelling `prev → mid → next`, in `[0, π]`.
@@ -102,14 +96,6 @@ mod tests {
         assert_eq!(TurnClass::from_angle(1.0), TurnClass::Turn);
         assert_eq!(TurnClass::from_angle(TURN_KILL_ANGLE), TurnClass::Turn);
         assert_eq!(TurnClass::from_angle(2.0), TurnClass::Sharp);
-    }
-
-    #[test]
-    fn heading_cardinal_directions() {
-        let o = Point::new(0.0, 0.0);
-        assert!((heading(&o, &Point::new(1.0, 0.0)) - 0.0).abs() < 1e-12);
-        assert!((heading(&o, &Point::new(0.0, 1.0)) - FRAC_PI_2).abs() < 1e-12);
-        assert!((heading(&o, &Point::new(-1.0, 0.0)) - PI).abs() < 1e-12);
     }
 
     #[test]

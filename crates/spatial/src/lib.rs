@@ -20,7 +20,7 @@ pub mod grid;
 pub mod point;
 pub mod polyline;
 
-pub use angle::{heading, turn_angle, TurnClass, TURN_KILL_ANGLE, TURN_THRESHOLD_ANGLE};
+pub use angle::{turn_angle, TurnClass, TURN_KILL_ANGLE, TURN_THRESHOLD_ANGLE};
 pub use bbox::BBox;
 pub use distance::{equirectangular_m, haversine_m, EARTH_RADIUS_M};
 pub use grid::GridIndex;

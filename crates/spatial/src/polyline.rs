@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::angle::{turn_angle, TurnClass};
 use crate::bbox::BBox;
 use crate::point::Point;
 
@@ -43,17 +42,6 @@ impl Polyline {
         self.points.windows(2).map(|w| w[0].dist(&w[1])).sum()
     }
 
-    /// Number of junctions whose deflection classifies as a turn or sharper.
-    // ctlint::allow(dead-pub): polyline API; its callers are polyline::tests (ROADMAP item 6)
-    pub fn count_turns(&self) -> usize {
-        self.points
-            .windows(3)
-            .filter(|w| {
-                TurnClass::from_angle(turn_angle(&w[0], &w[1], &w[2])) != TurnClass::Straight
-            })
-            .count()
-    }
-
     /// Bounding box of the polyline, `None` if empty.
     pub fn bbox(&self) -> Option<BBox> {
         BBox::of_points(self.points.iter())
@@ -87,12 +75,6 @@ impl Polyline {
     }
 }
 
-impl FromIterator<Point> for Polyline {
-    fn from_iter<T: IntoIterator<Item = Point>>(iter: T) -> Self {
-        Polyline::new(iter.into_iter().collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,17 +87,6 @@ mod tests {
     fn length_sums_segments() {
         assert_eq!(l_shape().length(), 20.0);
         assert_eq!(Polyline::default().length(), 0.0);
-    }
-
-    #[test]
-    fn right_angle_counts_as_turn() {
-        assert_eq!(l_shape().count_turns(), 1);
-    }
-
-    #[test]
-    fn straight_line_has_no_turns() {
-        let p: Polyline = (0..5).map(|i| Point::new(i as f64, 0.0)).collect();
-        assert_eq!(p.count_turns(), 0);
     }
 
     #[test]

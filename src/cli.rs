@@ -522,7 +522,7 @@ impl Cli {
                                     let mut session = snapshot.session();
                                     let result = session.plan(mode);
                                     lat.push(t.elapsed());
-                                    state.record_plans(1);
+                                    state.record_plan(result.stop);
                                     if commit_every > 0
                                         && i % commit_every == commit_every - 1
                                         && !result.best.is_empty()
@@ -557,7 +557,7 @@ impl Cli {
                                             }
                                             snapshot = state.current();
                                             let retry = snapshot.session().plan(mode);
-                                            state.record_plans(1);
+                                            state.record_plan(retry.stop);
                                             if retry.best.is_empty() {
                                                 break;
                                             }
@@ -598,6 +598,7 @@ impl Cli {
                     )
                     .map_err(w)?;
                 }
+                writeln!(out, "{}", stats.stops).map_err(w)?;
                 writeln!(
                     out,
                     "commits: {} applied, {} stale, {} failed, {} shed, {} invalid — \
@@ -618,8 +619,9 @@ impl Cli {
                     let mut recovered = false;
                     for _ in 0..32 {
                         let snapshot = state.current();
-                        let plan = snapshot.session().plan(mode).best;
-                        state.record_plans(1);
+                        let result = snapshot.session().plan(mode);
+                        state.record_plan(result.stop);
+                        let plan = result.best;
                         if plan.is_empty() || plan.objective <= 0.0 {
                             recovered = true; // saturated; reads still served
                             break;
@@ -955,6 +957,20 @@ mod tests {
         assert!(text.contains("served 6 plans"), "{text}");
         assert!(text.contains("plans/sec"), "{text}");
         assert!(text.contains("latency p50"), "{text}");
+        // One line counts the served plans by why their search stopped.
+        let stops = text
+            .lines()
+            .find_map(|l| l.strip_prefix("plans stopped by: "))
+            .unwrap_or_else(|| panic!("no stop-reason line: {text}"));
+        let counted: u64 = ["bound", "exhausted queue", "iteration cap"]
+            .iter()
+            .zip(stops.split(", "))
+            .map(|(reason, field)| {
+                let n = field.strip_suffix(reason).unwrap_or_else(|| panic!("{stops}"));
+                n.trim().parse::<u64>().unwrap_or_else(|_| panic!("{stops}"))
+            })
+            .sum();
+        assert_eq!(counted, 6, "{stops}");
         // 6 requests, commit every 3rd → two tickets; the first always
         // applies, the second applies or goes stale depending on timing.
         assert!(text.contains("commits: "), "{text}");
