@@ -47,12 +47,8 @@ fn bench_connectivity(c: &mut Criterion) {
             b.iter(|| est.lambda(black_box(adj)).unwrap())
         });
 
-        // Frozen-probe trace sweep, before/after the batched kernel: the
-        // per-probe path streams the matrix once per probe per Lanczos step,
-        // the batched path once per step for each lane tile (bit-identical).
-        group.bench_with_input(BenchmarkId::new("slq_trace_per_probe", name), &adj, |b, adj| {
-            b.iter(|| est.trace_exp_unbatched(black_box(adj)).unwrap())
-        });
+        // Frozen-probe trace sweep: the matrix streams once per Lanczos step
+        // for each lane tile of probes.
         group.bench_with_input(BenchmarkId::new("slq_trace_batched", name), &adj, |b, adj| {
             b.iter(|| est.trace_exp(black_box(adj)).unwrap())
         });

@@ -3,9 +3,7 @@
 //!
 //! `delta_sweep_overlay_batched` times the shipping sweep (EdgeOverlay
 //! views, lane-tiled multi-probe matvec, work-stealing counter,
-//! thread-local workspaces) on every available core. The per-probe
-//! before/after comparison lives in the `connectivity` bench
-//! (`slq_trace_per_probe` vs `slq_trace_batched`).
+//! thread-local workspaces) on every available core.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

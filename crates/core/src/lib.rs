@@ -17,7 +17,8 @@
 //!    road shortest path between the stops;
 //! 2. [`precompute`] estimates each candidate's connectivity increment
 //!    `Δ(e)` with paired-probe stochastic Lanczos quadrature and builds the
-//!    ranked lists `L_d`, `L_λ`, `L_e` (§6) and the Eq. 12 normalizers;
+//!    ranked lists `L_d`, `L_λ` (§6) and the Eq. 12 normalizers; each
+//!    linear-mode planner run ranks its own `L_e(w)` from them;
 //! 3. [`bounds`] provides the four upper bounds of §5.2–5.3 (Estrada,
 //!    Lemma 3 general, Lemma 4 path, increment) and the Algorithm 2
 //!    incremental demand bound;

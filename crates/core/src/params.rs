@@ -137,11 +137,7 @@ impl CtBusParams {
 
     /// The trace-estimation parameters implied by this configuration.
     pub fn trace_params(&self) -> TraceParams {
-        TraceParams {
-            probes: self.trace_probes,
-            lanczos_steps: self.lanczos_steps,
-            ..TraceParams::default()
-        }
+        TraceParams { probes: self.trace_probes, lanczos_steps: self.lanczos_steps }
     }
 
     /// Validates parameter ranges; returns problems (empty = valid).

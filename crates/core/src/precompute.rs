@@ -4,11 +4,15 @@
 //!
 //! * the candidate pool with road shortest paths and demands;
 //! * per-edge connectivity increments `Δ(e)` via paired-probe SLQ;
-//! * the ranked lists `L_d` (demand), `L_λ` (increments), `L_e`
-//!   (Eq. 11 combined normalized objective);
+//! * the ranked lists `L_d` (demand) and `L_λ` (increments);
 //! * the Eq. 12 normalizers `d_max`, `λ_max`, the base connectivity, the
 //!   top eigenvalues of the base adjacency, and the Lemma 4 path bound the
 //!   online planner uses as its connectivity upper bound.
+//!
+//! `L_e` (Eq. 11, the combined normalized objective) is not stored: it
+//! depends on `w`, and vk-TSP plans at `w = 1` whatever the parameters say,
+//! so each linear-mode planner run computes and ranks its own under the
+//! stored normalizers.
 //!
 //! The Δ(e) sweep is embarrassingly parallel and is spread over all cores
 //! with scoped threads pulling candidate ids off an atomic work-stealing
@@ -80,8 +84,6 @@ pub struct Precomputed {
     pub ld: RankedList,
     /// Candidates ranked by connectivity increment (`L_λ`).
     pub llambda: RankedList,
-    /// Candidates ranked by combined normalized objective (`L_e`, Eq. 11).
-    pub le: RankedList,
     /// Demand normalizer `d_max = Σ top-k L_d` (Eq. 12).
     pub d_max: f64,
     /// Connectivity normalizer `λ_max = Σ top-k L_λ` (Eq. 12).
@@ -146,7 +148,7 @@ impl Precomputed {
             &base_adj,
             &estimator,
             base_trace,
-            params,
+            params.lanczos_steps,
             &new_candidate_ids(&candidates),
             &mut workspaces,
             &mut delta,
@@ -167,8 +169,8 @@ impl Precomputed {
     }
 
     /// Assembles the parameter-dependent tail of the pre-computation — the
-    /// ranked lists, the Eq. 12 normalizers, `L_e` and the Lemma 4 path
-    /// bound — from an already-computed candidate pool, Δ(e) sweep and
+    /// ranked lists, the Eq. 12 normalizers and the Lemma 4 path bound —
+    /// from an already-computed candidate pool, Δ(e) sweep and
     /// [`spectrum_head`] (`None` when its solve failed).
     ///
     /// This is the single code path shared by [`Precomputed::build_with`]
@@ -194,23 +196,13 @@ impl Precomputed {
             Some(head) => (head.values, Some(Arc::new(head.vectors))),
             None => (Vec::new(), None),
         };
-        let tail = Tail::new(
-            &candidates,
-            &delta,
-            &ld,
-            &llambda,
-            base_lambda,
-            &top_eigs,
-            &base_adj,
-            params,
-        );
+        let tail = Tail::new(&ld, &llambda, base_lambda, &top_eigs, &base_adj, params);
 
         Precomputed {
             candidates,
             delta,
             ld,
             llambda,
-            le: tail.le,
             d_max: tail.d_max,
             lambda_max: tail.lambda_max,
             base_lambda,
@@ -224,26 +216,28 @@ impl Precomputed {
         }
     }
 
-    /// Normalized Eq. 3 objective for raw demand and connectivity values.
+    /// Normalized Eq. 3 objective `w·d/d_max + (1−w)·c/λ_max` for raw
+    /// demand and connectivity values.
     pub fn objective(&self, w: f64, demand: f64, conn_increment: f64) -> f64 {
-        normalized_objective(w, demand, self.d_max, conn_increment, self.lambda_max)
+        w * demand / self.d_max + (1.0 - w) * conn_increment / self.lambda_max
     }
 
-    /// `L_e(w)` per candidate id (Eq. 11) under this state's normalizers.
+    /// `L_e(w)` per candidate id (Eq. 11): each edge's own normalized
+    /// objective under this state's normalizers.
     pub(crate) fn le_values(&self, w: f64) -> Vec<f64> {
-        le_values(&self.candidates, &self.delta, w, self.d_max, self.lambda_max)
+        let edges = self.candidates.edges();
+        edges.iter().zip(&self.delta).map(|(e, &d)| self.objective(w, e.demand, d)).collect()
     }
 
     /// Re-derives the parameter-dependent artifacts (Eq. 12 normalizers,
-    /// `L_e`, the Lemma 4 bound) for new `k`/`w` without redoing the
-    /// expensive candidate generation and Δ(e) sweep.
+    /// the Lemma 4 bound) for new `k`/`w` without redoing the expensive
+    /// candidate generation and Δ(e) sweep; `w` itself enters only when a
+    /// planner run ranks `L_e(w)`.
     ///
     /// Parameter sweeps (Table 7, Figs. 10–12) rely on this: the candidate
     /// pool and per-edge increments are `k`- and `w`-independent.
     pub fn reparameterize(&self, params: &CtBusParams) -> Precomputed {
         let tail = Tail::new(
-            &self.candidates,
-            &self.delta,
             &self.ld,
             &self.llambda,
             self.base_lambda,
@@ -256,7 +250,6 @@ impl Precomputed {
             delta: self.delta.clone(),
             ld: self.ld.clone(),
             llambda: self.llambda.clone(),
-            le: tail.le,
             d_max: tail.d_max,
             lambda_max: tail.lambda_max,
             base_lambda: self.base_lambda,
@@ -271,42 +264,16 @@ impl Precomputed {
     }
 }
 
-/// The normalized Eq. 3 objective `w·d/d_max + (1−w)·c/λ_max`, written
-/// once so every caller rounds it identically.
-fn normalized_objective(w: f64, demand: f64, d_max: f64, conn: f64, lambda_max: f64) -> f64 {
-    w * demand / d_max + (1.0 - w) * conn / lambda_max
-}
-
-/// `L_e(w)` per candidate id (Eq. 11): each edge's own normalized objective.
-fn le_values(
-    candidates: &CandidateSet,
-    delta: &[f64],
-    w: f64,
-    d_max: f64,
-    lambda_max: f64,
-) -> Vec<f64> {
-    candidates
-        .edges()
-        .iter()
-        .zip(delta)
-        .map(|(e, &d)| normalized_objective(w, e.demand, d_max, d, lambda_max))
-        .collect()
-}
-
-/// The `k`/`w`-dependent tail of the pre-computation: the Eq. 12
-/// normalizers, the ranked `L_e` and the Lemma 4 path bound.
+/// The `k`-dependent tail of the pre-computation: the Eq. 12 normalizers
+/// and the Lemma 4 path bound.
 struct Tail {
     d_max: f64,
     lambda_max: f64,
-    le: RankedList,
     conn_path_ub: f64,
 }
 
 impl Tail {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        candidates: &CandidateSet,
-        delta: &[f64],
         ld: &RankedList,
         llambda: &RankedList,
         base_lambda: f64,
@@ -316,9 +283,8 @@ impl Tail {
     ) -> Tail {
         let d_max = ld.top_k_sum(params.k).max(f64::MIN_POSITIVE);
         let lambda_max = llambda.top_k_sum(params.k).max(f64::MIN_POSITIVE);
-        let le = RankedList::new(&le_values(candidates, delta, params.w, d_max, lambda_max));
         let conn_path_ub = conn_path_ub(base_lambda, top_eigs, params.k, base_adj);
-        Tail { d_max, lambda_max, le, conn_path_ub }
+        Tail { d_max, lambda_max, conn_path_ub }
     }
 }
 
@@ -375,14 +341,15 @@ pub fn compute_deltas_with_threads(
     let mut workspaces: Vec<LanczosWorkspace> =
         (0..threads.max(1)).map(|_| LanczosWorkspace::new()).collect();
     let mut delta = vec![0.0f64; candidates.len()];
-    // Paired probes read only the estimator, so any parameter set will do.
+    // Paired probes take their Lanczos steps from the estimator; only the
+    // perturbation arm reads the `lanczos_steps` argument.
     sweep_deltas(
         DeltaMethod::PairedProbes,
         candidates,
         base,
         estimator,
         base_trace,
-        &CtBusParams::paper_defaults(),
+        0,
         &new_candidate_ids(candidates),
         &mut workspaces,
         &mut delta,
@@ -425,7 +392,8 @@ pub fn compute_deltas_with_threads(
 ///   the Taylor series of `tr(e^{A+E})` through second order and slightly
 ///   *under*estimates (every omitted term is positive for an adjacency
 ///   matrix): a conservative, noise-free surrogate. One Lanczos column
-///   solve (at least 12 steps) per endpoint stop covers all its edges.
+///   solve of `lanczos_steps` steps, at least 12, per endpoint stop covers
+///   all its edges.
 ///
 /// # Panics
 /// Panics if the paired-probe sweep gets no workspace, if an id is out of
@@ -437,7 +405,7 @@ pub(crate) fn sweep_deltas<T: Send>(
     base: &CsrMatrix,
     estimator: &ConnectivityEstimator,
     base_trace: f64,
-    params: &CtBusParams,
+    lanczos_steps: usize,
     ids: &[u32],
     workspaces: &mut [LanczosWorkspace],
     delta: &mut [f64],
@@ -493,7 +461,7 @@ pub(crate) fn sweep_deltas<T: Send>(
             // candidates — and a degenerate u == v pair — dedup to a single
             // entry), all sharing one Lanczos workspace so the per-stop
             // solve allocates only the stored column itself.
-            let lanczos_steps = params.lanczos_steps.max(12);
+            let lanczos_steps = lanczos_steps.max(12);
             let mut needed: Vec<u32> = ids
                 .iter()
                 .map(|&id| candidates.edge(id))
@@ -552,8 +520,9 @@ mod tests {
     }
 
     /// The pre-overlay Δ(e) sweep, kept as the oracle the shipping sweep
-    /// must match bit for bit: statically chunked threads, one full CSR
-    /// rebuild per candidate, one sequential SLQ pass per probe.
+    /// must match bit for bit: statically chunked threads and one full CSR
+    /// rebuild per candidate. It scores with `trace_exp`, whose batched
+    /// sweep `ct_linalg`'s tests pin to the sequential per-probe loop.
     fn compute_deltas_reference(
         candidates: &CandidateSet,
         base: &CsrMatrix,
@@ -580,7 +549,7 @@ mod tests {
                         for &id in part {
                             let e = candidates.edge(id);
                             let augmented = base.with_added_unit_edges(&[(e.u, e.v)]);
-                            let inc = match estimator.trace_exp_unbatched(&augmented) {
+                            let inc = match estimator.trace_exp(&augmented) {
                                 Ok(tr) => (tr.max(f64::MIN_POSITIVE) / base_trace).ln(),
                                 Err(_) => 0.0,
                             };
@@ -633,11 +602,12 @@ mod tests {
     fn le_combines_demand_and_delta() {
         let (city, demand, params) = setup();
         let pre = Precomputed::build(&city, &demand, &params);
+        let le = pre.le_values(params.w);
         for i in 0..pre.candidates.len().min(100) {
             let e = pre.candidates.edge(i as u32);
             let expect =
                 params.w * e.demand / pre.d_max + (1.0 - params.w) * pre.delta[i] / pre.lambda_max;
-            assert!((pre.le.value(i as u32) - expect).abs() < 1e-12);
+            assert!((le[i] - expect).abs() < 1e-12);
         }
     }
 
@@ -735,8 +705,9 @@ mod tests {
         let fresh = Precomputed::build(&city, &demand, &p2);
         assert!((cheap.d_max - fresh.d_max).abs() < 1e-9);
         assert!((cheap.lambda_max - fresh.lambda_max).abs() < 1e-9);
-        for i in 0..cheap.candidates.len() as u32 {
-            assert!((cheap.le.value(i) - fresh.le.value(i)).abs() < 1e-9);
+        let (cheap_le, fresh_le) = (cheap.le_values(p2.w), fresh.le_values(p2.w));
+        for i in 0..cheap.candidates.len() {
+            assert!((cheap_le[i] - fresh_le[i]).abs() < 1e-9);
         }
         assert!((cheap.conn_path_ub - fresh.conn_path_ub).abs() < 1e-6);
     }
@@ -785,7 +756,7 @@ mod tests {
                     &base,
                     &estimator,
                     base_trace,
-                    &params,
+                    params.lanczos_steps,
                     &ids[..4],
                     &mut workspaces,
                     &mut delta,

@@ -52,7 +52,7 @@ mod tests {
         let base = city.transit.adjacency_matrix();
         let base_lambda = natural_connectivity_exact(&base).unwrap();
 
-        let params = TraceParams { probes: 40, lanczos_steps: 12, ..Default::default() };
+        let params = TraceParams { probes: 40, lanczos_steps: 12 };
         let est = ConnectivityEstimator::new(base.n(), &params, 1);
         let base_trace = est.trace_exp(&base).unwrap();
 

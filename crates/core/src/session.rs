@@ -430,7 +430,7 @@ impl PlanningSession {
             &pre.base_adj,
             &pre.estimator,
             base_trace,
-            &self.params,
+            self.params.lanczos_steps,
             &ids,
             &mut self.workspaces[..threads],
             &mut delta,
@@ -505,8 +505,9 @@ mod tests {
     }
 
     /// Field-by-field equality of two pre-computations (timings excluded —
-    /// they are wall-clock, everything else must be bit-identical).
-    fn assert_pre_identical(a: &Precomputed, b: &Precomputed, what: &str) {
+    /// they are wall-clock, everything else must be bit-identical), plus
+    /// the `L_e(w)` values a linear planner run ranks from them.
+    fn assert_pre_identical(a: &Precomputed, b: &Precomputed, w: f64, what: &str) {
         assert_eq!(a.candidates.edges(), b.candidates.edges(), "{what}: candidates");
         assert_turns_identical(a, b, what);
         assert_eq!(a.delta, b.delta, "{what}: delta");
@@ -518,8 +519,9 @@ mod tests {
         assert_eq!(a.spectrum_basis, b.spectrum_basis, "{what}: spectrum_basis");
         assert_eq!(a.conn_path_ub, b.conn_path_ub, "{what}: conn_path_ub");
         assert_eq!(a.base_adj, b.base_adj, "{what}: base_adj");
+        let (a_le, b_le) = (a.le_values(w), b.le_values(w));
         for id in 0..a.candidates.len() as u32 {
-            assert_eq!(a.le.value(id), b.le.value(id), "{what}: le[{id}]");
+            assert_eq!(a_le[id as usize], b_le[id as usize], "{what}: le[{id}]");
             assert_eq!(a.ld.value(id), b.ld.value(id), "{what}: ld[{id}]");
             assert_eq!(a.llambda.value(id), b.llambda.value(id), "{what}: llambda[{id}]");
         }
@@ -585,7 +587,8 @@ mod tests {
             }
             session.commit(&result.best);
             let fresh = Precomputed::build(session.city(), session.demand(), session.params());
-            assert_pre_identical(session.precomputed(), &fresh, &format!("round {round}"));
+            let w = session.params().w;
+            assert_pre_identical(session.precomputed(), &fresh, w, &format!("round {round}"));
         }
         assert!(session.commits() >= 1, "no route committed");
     }

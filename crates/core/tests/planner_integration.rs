@@ -1,7 +1,10 @@
 //! Integration tests for the planner against generated cities, including
 //! degenerate regimes the unit tests do not reach.
 
-use ct_core::{evaluate_plan, CtBusParams, DeltaMethod, Planner, PlannerMode, Precomputed};
+use ct_core::{
+    evaluate_plan, CtBusParams, DeltaMethod, Planner, PlannerMode, Precomputed, RankedList,
+    RunResult,
+};
 use ct_data::{City, CityConfig, DemandModel};
 use ct_spatial::{turn_angle, TurnClass};
 
@@ -46,8 +49,51 @@ fn k_one_returns_single_best_seed() {
     let res = planner.run(PlannerMode::EtaPre);
     assert_eq!(res.best.num_edges(), 1);
     // With k = 1 the best route is exactly the top-L_e candidate.
-    let top = planner.precomputed().le.iter_desc().next().unwrap();
+    let pre = planner.precomputed();
+    let le: Vec<f64> = pre
+        .candidates
+        .edges()
+        .iter()
+        .zip(&pre.delta)
+        .map(|(e, &delta)| pre.objective(params.w, e.demand, delta))
+        .collect();
+    let top = RankedList::new(&le).iter_desc().next().unwrap();
     assert_eq!(res.best.cand_edges, vec![top]);
+}
+
+#[test]
+fn reparameterized_planner_matches_a_cold_build_bit_for_bit() {
+    // Every what-if request plans on `reparameterize` of a shared
+    // pre-computation instead of building one for its own k and w.
+    let city = CityConfig::small().seed(66).generate();
+    let demand = DemandModel::from_city(&city);
+    let params = CtBusParams::small_defaults();
+    let pre = Precomputed::build(&city, &demand, &params);
+    // `RoutePlan`'s `==` reads -0.0 as 0.0; compare its floats and the
+    // convergence trace as bits too.
+    let bits = |r: &RunResult| {
+        let plan = &r.best;
+        let trace: Vec<(u64, u64)> = r.trace.iter().map(|&(it, obj)| (it, obj.to_bits())).collect();
+        ([plan.objective, plan.demand, plan.conn_increment, plan.length_m].map(f64::to_bits), trace)
+    };
+    for k in [4, 8, 12] {
+        for w in [0.3, 0.7] {
+            let mut p = params;
+            p.k = k;
+            p.w = w;
+            let cold = Planner::new(&city, &demand, p);
+            let warm = Planner::with_precomputed(&city, p, pre.reparameterize(&p));
+            for mode in PlannerMode::ALL.into_iter().filter(|&m| m != PlannerMode::Eta) {
+                let what = format!("{mode:?} k={k} w={w}");
+                let (a, b) = (cold.run(mode), warm.run(mode));
+                assert_eq!(a.best, b.best, "{what}: plan");
+                assert_eq!(bits(&a), bits(&b), "{what}: plan and trace bits");
+                assert_eq!(a.iterations, b.iterations, "{what}: iterations");
+                assert_eq!(a.evaluations, b.evaluations, "{what}: evaluations");
+                assert_eq!(a.stop, b.stop, "{what}: stop reason");
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,19 +1,14 @@
 //! Natural connectivity `λ(G) = ln(tr(e^A)/n)` (paper Eq. 1/5).
 //!
 //! Exact evaluation goes through the full spectrum; estimated evaluation
-//! goes through stochastic Lanczos quadrature under Hutchinson probes with
-//! a guaranteed `(1 ± ε)` multiplicative trace error, i.e. an additive
+//! is [`ConnectivityEstimator::lambda`](crate::trace::ConnectivityEstimator::lambda):
+//! stochastic Lanczos quadrature under frozen Gaussian Hutchinson probes
+//! with a guaranteed `(1 ± ε)` multiplicative trace error, i.e. an additive
 //! `±ε`-ish error on `λ` (paper §5.1).
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::eig::sparse_symmetric_eigenvalues;
 use crate::error::LinalgError;
-use crate::lanczos::LanczosWorkspace;
-use crate::matvec::MatVec;
 use crate::sparse::CsrMatrix;
-use crate::trace::{PairedTraceEstimator, TraceParams};
 use crate::util::logsumexp;
 
 /// Natural connectivity from a full eigenvalue list:
@@ -27,74 +22,20 @@ pub fn natural_connectivity_from_eigs(eigs: &[f64]) -> f64 {
 
 /// Exact natural connectivity via full eigendecomposition (`O(n³)`).
 ///
-/// This is the paper's "Eigen" baseline; use [`ConnectivityEstimator`] for
+/// This is the paper's "Eigen" baseline; use
+/// [`ConnectivityEstimator`](crate::trace::ConnectivityEstimator) for
 /// anything beyond a few thousand vertices.
 pub fn natural_connectivity_exact(a: &CsrMatrix) -> Result<f64, LinalgError> {
     let eigs = sparse_symmetric_eigenvalues(a)?;
     Ok(natural_connectivity_from_eigs(&eigs))
 }
 
-/// Fast natural-connectivity estimation with frozen Hutchinson probes.
-///
-/// Freezing the probes makes repeated evaluations (a) deterministic given
-/// the seed and (b) *comparable*: `λ` differences between two networks are
-/// estimated with common random numbers, which is what the CT-Bus planner
-/// needs when scoring candidate routes against the base network.
-#[derive(Debug, Clone)]
-pub struct ConnectivityEstimator {
-    paired: PairedTraceEstimator,
-    n: usize,
-}
-
-impl ConnectivityEstimator {
-    /// Creates an estimator for `n × n` adjacency matrices.
-    pub fn new(n: usize, params: &TraceParams, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        ConnectivityEstimator { paired: PairedTraceEstimator::new(n, params, &mut rng), n }
-    }
-
-    /// The matrix dimension this estimator serves.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Estimated natural connectivity of `a`.
-    pub fn lambda<M: MatVec + ?Sized>(&self, a: &M) -> Result<f64, LinalgError> {
-        let tr = self.paired.trace_exp(a)?.max(f64::MIN_POSITIVE);
-        Ok(tr.ln() - (self.n as f64).ln())
-    }
-
-    /// Estimated `tr(e^A)` with the frozen probes; exposing the raw trace
-    /// lets callers amortize a base-network trace across many increment
-    /// computations (`Δλ = ln(tr'/tr)`).
-    pub fn trace_exp<M: MatVec + ?Sized>(&self, a: &M) -> Result<f64, LinalgError> {
-        self.paired.trace_exp(a)
-    }
-
-    /// Estimated `tr(e^A)` reusing a caller-owned [`LanczosWorkspace`];
-    /// the Δ(e) precompute sweep calls this once per candidate edge with a
-    /// thread-local workspace and allocates nothing in steady state.
-    pub fn trace_exp_in<M: MatVec + ?Sized>(
-        &self,
-        a: &M,
-        ws: &mut LanczosWorkspace,
-    ) -> Result<f64, LinalgError> {
-        self.paired.trace_exp_in(a, ws)
-    }
-
-    /// Sequential per-probe reference sweep (see
-    /// [`PairedTraceEstimator::trace_exp_unbatched`]); for equivalence tests
-    /// and before/after benches only.
-    #[doc(hidden)]
-    pub fn trace_exp_unbatched<M: MatVec + ?Sized>(&self, a: &M) -> Result<f64, LinalgError> {
-        self.paired.trace_exp_unbatched(a)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use crate::trace::{ConnectivityEstimator, TraceParams};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn random_graph(n: usize, m: usize, seed: u64) -> CsrMatrix {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -6,11 +6,11 @@
 //!
 //! * `e^A v ≈ ‖v‖ · V_t · e^{T_t} e₁` — [`lanczos_expv`];
 //! * `vᵀ e^A v ≈ ‖v‖² · e₁ᵀ e^{T_t} e₁` — stochastic Lanczos quadrature,
-//!   [`slq_quadratic_form`], which never materializes the basis and is the
-//!   kernel under Hutchinson's trace estimator. The quadrature `e₁ᵀ e^{T_t}
-//!   e₁` comes from [`tridiag_exp11_lanes`], a scaled Taylor series on
-//!   `T_t` itself, not from the Gauss rule `Σ_j z₀ⱼ² e^{θⱼ}` over an
-//!   eigendecomposition.
+//!   [`slq_trace_batch_in`], which never materializes the basis, sums the
+//!   forms of many probe vectors at once and is the kernel under
+//!   Hutchinson's trace estimator. The quadrature `e₁ᵀ e^{T_t} e₁` comes
+//!   from [`tridiag_exp11_lanes`], a scaled Taylor series on `T_t` itself,
+//!   not from the Gauss rule `Σ_j z₀ⱼ² e^{θⱼ}` over an eigendecomposition.
 //!
 //! Per Lemma 2 (a corollary of Musco et al. \[45\]), `t = O(‖A‖₂ + log 1/ε)`
 //! iterations suffice; transit networks have tiny spectral norms (≈ 5), so
@@ -306,8 +306,11 @@ pub fn lanczos_expv_in<M: MatVec + ?Sized>(
 }
 
 /// Approximates the quadratic form `vᵀ e^A v` by stochastic Lanczos
-/// quadrature with `steps` iterations (no basis stored).
-pub fn slq_quadratic_form<M: MatVec + ?Sized>(
+/// quadrature with `steps` iterations (no basis stored): the scalar,
+/// one-probe-at-a-time oracle that the tests hold [`slq_trace_batch_in`]
+/// to, bit for bit.
+#[cfg(test)]
+pub(crate) fn slq_quadratic_form<M: MatVec + ?Sized>(
     a: &M,
     v: &[f64],
     steps: usize,
@@ -318,7 +321,8 @@ pub fn slq_quadratic_form<M: MatVec + ?Sized>(
 
 /// Workspace-based [`slq_quadratic_form`]: zero heap allocations once the
 /// workspace has warmed up, bit-identical results to the allocating form.
-pub fn slq_quadratic_form_in<M: MatVec + ?Sized>(
+#[cfg(test)]
+pub(crate) fn slq_quadratic_form_in<M: MatVec + ?Sized>(
     a: &M,
     v: &[f64],
     steps: usize,
@@ -347,15 +351,16 @@ pub fn slq_quadratic_form_in<M: MatVec + ?Sized>(
 /// Lanczos steps with one [`MatVec::matvec_lanes`] per step, and adds its
 /// quadratures, one [`tridiag_exp11_lanes`] call, to the total before the
 /// next tile starts. Per probe, every floating-point operation of the
-/// recurrence happens in the same order as a scalar
-/// [`slq_quadratic_form`] call — accumulators start at `0.0`, vectors are
-/// scaled by the reciprocals `1/‖p‖` and `1/β`, no fused multiply-add —
-/// the quadrature kernel's lanes are independent of its width, and probes
-/// are summed in index order, so the result is **bit-identical** to the
-/// sequential loop. A probe that hits a happy breakdown retires its lane;
-/// the lane is zeroed and the tile runs on until every lane has retired or
-/// `steps` is reached. A retired lane's shorter `T` gets its own `L = 1`
-/// quadrature.
+/// recurrence happens in the same order as a scalar solve
+/// ([`lanczos_tridiagonalize_in`] and a one-lane quadrature) — accumulators
+/// start at `0.0`, vectors are scaled by the reciprocals `1/‖p‖` and `1/β`,
+/// no fused multiply-add — the quadrature kernel's lanes are independent
+/// of its width, and probes are summed in index order, so the result is
+/// **bit-identical** to a sequential loop of scalar solves (the tests keep
+/// that loop as the oracle). A probe that hits a happy breakdown retires
+/// its lane; the lane is zeroed and the tile runs on until every lane has
+/// retired or `steps` is reached. A retired lane's shorter `T` gets its own
+/// `L = 1` quadrature.
 ///
 /// The call leaves no single-vector run behind: afterwards
 /// [`LanczosWorkspace::steps`] is 0 and the coefficient accessors are

@@ -15,12 +15,13 @@
 //!   eigenvalues;
 //! * the Lanczos method for `e^A v` and stochastic Lanczos quadrature (SLQ)
 //!   for `v^T e^A v` ([`lanczos`]);
-//! * Hutchinson's stochastic trace estimator with Gaussian or Rademacher
-//!   probes, a paired-probe variant for noise-cancelling *increment*
-//!   estimation, and Hutch++ ([`trace`]);
+//! * Hutchinson's stochastic trace estimator with frozen Gaussian probes
+//!   (§5.1), reused across networks so that connectivity *increments* are
+//!   estimated with common random numbers ([`trace`]);
 //! * top-k eigenpairs via a randomized block Krylov method ([`topk`],
 //!   paper ref \[44\]) feeding the Lemma 3/4 connectivity bounds;
-//! * natural connectivity itself, exact and estimated ([`connectivity`]).
+//! * natural connectivity itself, exact ([`connectivity`]) and estimated
+//!   ([`ConnectivityEstimator`]).
 
 pub mod chebyshev;
 pub mod connectivity;
@@ -40,23 +41,20 @@ pub mod util;
 pub mod vector;
 
 pub use chebyshev::{bessel_i, chebyshev_expv};
-pub use connectivity::{
-    natural_connectivity_exact, natural_connectivity_from_eigs, ConnectivityEstimator,
-};
+pub use connectivity::{natural_connectivity_exact, natural_connectivity_from_eigs};
 pub use dense::DenseMatrix;
 pub use eig::{full_symmetric_eigenvalues, sparse_symmetric_eigenvalues, top_symmetric_eigenpairs};
 pub use error::LinalgError;
 pub use lanczos::{
     lanczos_expv, lanczos_expv_in, lanczos_tridiagonalize, lanczos_tridiagonalize_in,
-    slq_quadratic_form, slq_quadratic_form_in, slq_trace_batch_in, LanczosDecomposition,
-    LanczosWorkspace,
+    slq_trace_batch_in, LanczosDecomposition, LanczosWorkspace,
 };
 pub use laplacian::{algebraic_connectivity, algebraic_connectivity_exact, laplacian_dense};
 pub use matvec::{EdgeOverlay, MatVec};
-pub use rng::{gaussian_vector, probe_vector, probe_vector_in, rademacher_vector, ProbeKind};
+pub use rng::gaussian_vector;
 pub use sparse::CsrMatrix;
 pub use topk::{
     block_krylov_head, block_krylov_topk, block_krylov_topk_warm, spectral_norm, SpectrumHead,
 };
-pub use trace::{hutchinson_trace_exp, hutchpp_trace_exp, PairedTraceEstimator, TraceParams};
+pub use trace::{ConnectivityEstimator, TraceParams};
 pub use util::logsumexp;

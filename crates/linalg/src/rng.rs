@@ -1,16 +1,6 @@
-//! Random probe vectors for stochastic trace estimation.
+//! Gaussian probe vectors for stochastic trace estimation (paper §5.1).
 
 use rand::Rng;
-
-/// Distribution of the random probe vectors used by Hutchinson's estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeKind {
-    /// Standard normal entries (the paper's choice, §5.1).
-    #[default]
-    Gaussian,
-    /// ±1 entries with equal probability; lower variance for many matrices.
-    Rademacher,
-}
 
 /// Samples one standard normal value via the Box–Muller transform.
 ///
@@ -29,39 +19,6 @@ pub fn gaussian_vector<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
     (0..n).map(|_| sample_gaussian(rng)).collect()
 }
 
-/// A length-`n` vector of i.i.d. ±1 entries.
-pub fn rademacher_vector<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
-    (0..n).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect()
-}
-
-/// Samples a probe vector of the requested kind.
-pub fn probe_vector<R: Rng + ?Sized>(rng: &mut R, kind: ProbeKind, n: usize) -> Vec<f64> {
-    match kind {
-        ProbeKind::Gaussian => gaussian_vector(rng, n),
-        ProbeKind::Rademacher => rademacher_vector(rng, n),
-    }
-}
-
-/// Refills `out` with a fresh probe vector, reusing its allocation.
-///
-/// Draws exactly the same random values as [`probe_vector`], so a loop
-/// refilling one buffer observes the same sequence as one allocating fresh
-/// vectors.
-pub fn probe_vector_in<R: Rng + ?Sized>(
-    rng: &mut R,
-    kind: ProbeKind,
-    n: usize,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    match kind {
-        ProbeKind::Gaussian => out.extend((0..n).map(|_| sample_gaussian(rng))),
-        ProbeKind::Rademacher => {
-            out.extend((0..n).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,24 +34,6 @@ mod tests {
         let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "var {var}");
-    }
-
-    #[test]
-    fn rademacher_entries_are_unit_magnitude() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let v = rademacher_vector(&mut rng, 1000);
-        assert!(v.iter().all(|&x| x == 1.0 || x == -1.0));
-        // Roughly balanced.
-        let sum: f64 = v.iter().sum();
-        assert!(sum.abs() < 100.0);
-    }
-
-    #[test]
-    fn probe_vector_dispatches() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(probe_vector(&mut rng, ProbeKind::Gaussian, 5).len(), 5);
-        let r = probe_vector(&mut rng, ProbeKind::Rademacher, 5);
-        assert!(r.iter().all(|&x| x.abs() == 1.0));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use ct_linalg::{
     algebraic_connectivity, algebraic_connectivity_exact, bessel_i, chebyshev_expv,
-    full_symmetric_eigenvalues, lanczos_expv, logsumexp, slq_quadratic_form, slq_quadratic_form_in,
-    CsrMatrix, EdgeOverlay, LanczosWorkspace, MatVec,
+    full_symmetric_eigenvalues, lanczos_expv, logsumexp, slq_trace_batch_in, CsrMatrix,
+    EdgeOverlay, LanczosWorkspace, MatVec,
 };
 use proptest::prelude::*;
 
@@ -103,13 +103,14 @@ proptest! {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = g.n();
-        // One workspace reused across several solves must reproduce the
-        // allocating path bit-for-bit, including after breakdown lanes.
+        // One workspace reused across several one-probe solves must
+        // reproduce a fresh workspace bit-for-bit, including after
+        // breakdown lanes.
         let mut ws = LanczosWorkspace::new();
         for steps in [1usize, 3, 10] {
             let v = ct_linalg::gaussian_vector(&mut rng, n);
-            let fresh = slq_quadratic_form(&g, &v, steps).unwrap();
-            let reused = slq_quadratic_form_in(&g, &v, steps, &mut ws).unwrap();
+            let fresh = slq_trace_batch_in(&g, &v, 1, steps, &mut LanczosWorkspace::new()).unwrap();
+            let reused = slq_trace_batch_in(&g, &v, 1, steps, &mut ws).unwrap();
             prop_assert_eq!(fresh.to_bits(), reused.to_bits(), "steps={}", steps);
         }
     }
@@ -136,8 +137,9 @@ proptest! {
             prop_assert_eq!(y_ov[i].to_bits(), y_mat[i].to_bits(), "row {}", i);
         }
         // And through a full SLQ solve (the Δ(e) code path).
-        let ov_q = slq_quadratic_form(&overlay, &x, 10).unwrap();
-        let mat_q = slq_quadratic_form(&materialized, &x, 10).unwrap();
+        let mut ws = LanczosWorkspace::new();
+        let ov_q = slq_trace_batch_in(&overlay, &x, 1, 10, &mut ws).unwrap();
+        let mat_q = slq_trace_batch_in(&materialized, &x, 1, 10, &mut ws).unwrap();
         prop_assert_eq!(ov_q.to_bits(), mat_q.to_bits());
     }
 

@@ -5,8 +5,8 @@ use ct_bus::core::ranked::{rescan_bound, IncrementalBound};
 use ct_bus::core::{general_bound, path_bound, CtBusParams, Planner, PlannerMode, RankedList};
 use ct_bus::data::{CityConfig, DemandModel};
 use ct_bus::linalg::{
-    logsumexp, natural_connectivity_exact, natural_connectivity_from_eigs, slq_quadratic_form,
-    sparse_symmetric_eigenvalues, CsrMatrix,
+    logsumexp, natural_connectivity_exact, natural_connectivity_from_eigs, slq_trace_batch_in,
+    sparse_symmetric_eigenvalues, CsrMatrix, LanczosWorkspace,
 };
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ proptest! {
         let ev = exact_m.matvec_alloc(&v);
         let want: f64 = v.iter().zip(&ev).map(|(a, b)| a * b).sum();
         // Full-dimension Lanczos is exact up to round-off.
-        let got = slq_quadratic_form(&g, &v, g.n()).unwrap();
+        let got = slq_trace_batch_in(&g, &v, 1, g.n(), &mut LanczosWorkspace::new()).unwrap();
         prop_assert!((got - want).abs() <= 1e-6 * want.abs().max(1.0),
             "SLQ {got} vs exact {want}");
     }
