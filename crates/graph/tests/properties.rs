@@ -1,8 +1,9 @@
 //! Property-based tests for the graph substrate.
 
 use ct_graph::{
-    bfs_hops, connected_components, dijkstra_all, dijkstra_bounded, global_min_cut, shortest_path,
-    RoadEdge, RoadNetwork, TransferIndex, TransitNetworkBuilder,
+    bfs_hops, connected_components, dijkstra_all, dijkstra_bounded, dijkstra_tree, global_min_cut,
+    reconstruct_path, shortest_path, PathScratch, RoadEdge, RoadNetwork, TransferIndex,
+    TransitNetworkBuilder,
 };
 use ct_spatial::Point;
 use proptest::prelude::*;
@@ -98,6 +99,62 @@ proptest! {
             if full[v as usize] <= cutoff {
                 prop_assert!(settled.contains(&v), "node {v} within cutoff missed");
             }
+        }
+    }
+
+    #[test]
+    fn early_exit_search_matches_the_full_tree(
+        g in road_strategy(24),
+        (isolated, ties) in (0usize..3, proptest::collection::vec((0u32..24, 0u32..24, 1u32..4), 0..12)),
+        s in 0u32..27,
+        picks in proptest::collection::vec(0u32..27, 0..8),
+        (cutoff_kind, drawn) in (0u8..3, 0.0f64..120.0),
+    ) {
+        // The chain's equal 10 m links give distance ties. Extra links of
+        // 10, 20 or 30 m add ties between distinct parents, and parallel
+        // links (the first parent must keep the node). Isolated nodes
+        // appended to the chain give unreachable targets.
+        let n = g.num_nodes() as u32;
+        let mut edges = g.edges().to_vec();
+        edges.extend(ties.iter().filter(|(u, v, _)| u % n != v % n).map(|&(u, v, k)| RoadEdge {
+            u: u % n,
+            v: v % n,
+            length: 10.0 * k as f64,
+        }));
+        let mut positions = g.positions().to_vec();
+        positions.extend((0..isolated).map(|i| Point::new(-100.0 * (i + 1) as f64, 0.0)));
+        let g = RoadNetwork::new(positions, edges);
+        let n = g.num_nodes() as u32;
+        let s = s % n;
+        let mut targets: Vec<u32> = picks.iter().map(|&t| t % n).collect();
+        if let Some(&first) = targets.first() {
+            targets.push(first);
+            targets.push(s);
+        }
+        let cutoff = [0.0, drawn, f64::INFINITY][cutoff_kind as usize];
+        let (dist, parent) = dijkstra_tree(&g, s);
+        let within = |t: u32| dist[t as usize].is_finite() && dist[t as usize] <= cutoff;
+        let mut scratch = PathScratch::new();
+        // A search on the reused scratch must not see the previous one.
+        scratch.search(&g, (s + 1) % n, &targets, f64::INFINITY);
+        scratch.search(&g, s, &targets, cutoff);
+        for &t in &targets {
+            match scratch.path(t) {
+                Some(p) => {
+                    prop_assert!(within(t), "{s}->{t} past the cutoff");
+                    prop_assert_eq!(p.dist.to_bits(), dist[t as usize].to_bits(), "{s}->{t}");
+                    let (nodes, edges) = reconstruct_path(s, t, &parent).unwrap();
+                    prop_assert_eq!(p.nodes, nodes, "{s}->{t}");
+                    prop_assert_eq!(p.edges, edges, "{s}->{t}");
+                }
+                None => prop_assert!(!within(t), "{s}->{t} missed"),
+            }
+        }
+        for t in 0..n {
+            let tree = reconstruct_path(s, t, &parent)
+                .map(|(nodes, edges)| (dist[t as usize].to_bits(), nodes, edges));
+            let got = scratch.shortest_path(&g, s, t).map(|p| (p.dist.to_bits(), p.nodes, p.edges));
+            prop_assert_eq!(got, tree, "{s}->{t}");
         }
     }
 

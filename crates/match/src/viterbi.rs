@@ -65,18 +65,6 @@ impl MatchResult {
         out.push(&self.matched[start..]);
         out
     }
-
-    /// Deduplicated road edges visited by the match, in first-visit order.
-    // ctlint::allow(dead-pub): match-result accessor; its caller is viterbi::tests (ROADMAP item 6)
-    pub fn matched_edges(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        for m in &self.matched {
-            if !out.contains(&m.candidate.edge) {
-                out.push(m.candidate.edge);
-            }
-        }
-        out
-    }
 }
 
 /// Runs Viterbi over `steps` joined by `transitions`
@@ -252,17 +240,6 @@ mod tests {
         let r = viterbi(&[], &[]);
         assert!(r.matched.is_empty());
         assert!(r.segments().is_empty());
-    }
-
-    #[test]
-    fn matched_edges_deduplicates_in_order() {
-        let steps = vec![step(0, &[-1.0]), step(1, &[-1.0]), step(2, &[-1.0])];
-        let transitions = vec![vec![vec![-1.0]], vec![vec![-1.0]]];
-        let mut r = viterbi(&steps, &transitions);
-        // All three picked candidate edge 0.
-        assert_eq!(r.matched_edges(), vec![0]);
-        r.matched[1].candidate.edge = 9;
-        assert_eq!(r.matched_edges(), vec![0, 9]);
     }
 
     #[test]
