@@ -1,11 +1,8 @@
-//! GTFS ingestion at city scale: legacy importer vs the shared-index /
-//! city-wide-cache pipeline, plus the streaming directory path.
+//! GTFS ingestion at city scale: cold and warm imports through one
+//! [`GtfsIngest`], plus the streaming directory path.
 //!
-//! The city is generated at the acceptance scale of the ingestion issue
-//! (≥ 5k stops, ≥ 200 routes with overlapping corridors). The `legacy`
-//! case is the retained pre-refactor importer (`into_transit_reference`:
-//! snap index rebuilt per call, Dijkstra memoized per route); `cold`
-//! builds a fresh [`GtfsIngest`] per import (one Dijkstra per unique
+//! The city has ≥ 5k stops and ≥ 200 routes with overlapping corridors.
+//! `cold` builds a fresh [`GtfsIngest`] per import (one Dijkstra per unique
 //! corridor, batched over all cores); `warm` re-imports through a
 //! persistent ingest whose cache already holds every corridor — the
 //! many-feeds-one-network steady state; `streaming` drives the same warm
@@ -54,20 +51,12 @@ fn bench_gtfs_ingest(c: &mut Criterion) {
     assert!(feed.stops.len() >= 5_000, "bench city too small: {} stops", feed.stops.len());
     assert!(feed.routes.len() >= 200, "bench city too small: {} routes", feed.routes.len());
 
-    // The pipelines must agree before their gap means anything.
-    let (reference, _) = feed.into_transit_reference(&city.road, &proj).expect("reference");
     let mut warm = GtfsIngest::new(&city.road);
-    let (net, _) = warm.import(&feed, &proj).expect("import");
-    assert_eq!(net.stops(), reference.stops(), "pipeline diverged from reference");
-    assert_eq!(net.edges(), reference.edges(), "pipeline diverged from reference");
-    assert_eq!(net.routes(), reference.routes(), "pipeline diverged from reference");
+    warm.import(&feed, &proj).expect("import");
 
     let dir = std::env::temp_dir().join(format!("ctbus-bench-gtfs-{}", std::process::id()));
     feed.write_dir(&dir).expect("write feed dir");
 
-    group.bench_function("import_legacy", |b| {
-        b.iter(|| feed.into_transit_reference(&city.road, &proj).expect("legacy import"))
-    });
     group.bench_function("import_cached_cold", |b| {
         b.iter(|| GtfsIngest::new(&city.road).import(&feed, &proj).expect("cold import"))
     });

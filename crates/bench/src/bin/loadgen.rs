@@ -400,15 +400,18 @@ fn main() {
             panic!("chaos recovery: no commit applied within {MAX_CHAOS_COMMIT_ATTEMPTS} attempts")
         });
         let fs = injector.stats();
+        let per_site: Vec<String> =
+            site::ALL.iter().map(|s| format!("{s} {}", injector.hits(s))).collect();
         println!(
             "chaos: survived {failures} failed and {sheds} shed commit attempts — \
-             injector fired {} faults ({} panics, {} delays, {} errors) over {} hits; \
+             injector fired {} faults ({} panics, {} delays, {} errors) over {} hits ({}); \
              recovered in {recovered_after} attempt(s)",
             fs.fired(),
             fs.panics,
             fs.delays,
             fs.errors,
-            fs.hits
+            fs.hits,
+            per_site.join(", ")
         );
         // Every commit attempt hits COMMIT_APPLY, whose first hit is a
         // scheduled panic — so any commit traffic at all must have fired.

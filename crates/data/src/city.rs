@@ -90,10 +90,12 @@ impl City {
         }
     }
 
-    /// Sanity checks on the road network and tying the three layers
-    /// together; returns human-readable problems (empty = consistent).
+    /// Sanity checks on the road and transit networks and tying the three
+    /// layers together; returns human-readable problems (empty =
+    /// consistent).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = self.road.validate();
+        problems.extend(self.transit.validate());
         for (i, s) in self.transit.stops().iter().enumerate() {
             if (s.road_node as usize) >= self.road.num_nodes() {
                 problems.push(format!("stop {i} sits on unknown road node {}", s.road_node));
@@ -104,9 +106,6 @@ impl City {
                 if (re as usize) >= self.road.num_edges() {
                     problems.push(format!("transit edge {i} references unknown road edge {re}"));
                 }
-            }
-            if e.length <= 0.0 {
-                problems.push(format!("transit edge {i} has non-positive length"));
             }
         }
         for (i, t) in self.trajectories.iter().enumerate() {

@@ -19,8 +19,8 @@ use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
 
-use ct_graph::{shortest_path, RoadNetwork, TransitNetwork, TransitNetworkBuilder};
-use ct_spatial::{GeoPoint, GridIndex, Projection};
+use ct_graph::{RoadNetwork, TransitNetwork};
+use ct_spatial::Projection;
 use serde::{Deserialize, Serialize};
 
 use crate::csv::{quote, split_record, Header};
@@ -270,118 +270,16 @@ impl GtfsFeed {
     /// survives.
     ///
     /// This is a one-shot convenience over [`crate::ingest::GtfsIngest`] —
-    /// it builds the snap index and hop-path cache, imports, and discards
-    /// them. When importing several feeds against the same road network (or
-    /// tuning the snap radius / thread count), hold a `GtfsIngest` instead
-    /// so the index and the city-wide corridor cache are reused.
+    /// it builds the snap index and the corridor cache, imports, and
+    /// discards them. When importing several feeds against the same road
+    /// network, hold a `GtfsIngest` instead so the index and the city-wide
+    /// corridor cache are reused.
     pub fn into_transit(
         &self,
         road: &RoadNetwork,
         projection: &Projection,
     ) -> Result<(TransitNetwork, GtfsImportStats), GtfsError> {
         crate::ingest::GtfsIngest::new(road).import(self, projection)
-    }
-
-    /// The pre-refactor importer, retained as the equivalence reference for
-    /// tests and the `gtfs_ingest` bench.
-    ///
-    /// Differences from [`GtfsFeed::into_transit`], all deliberate: it
-    /// rebuilds the snap `GridIndex` on every call, memoizes Dijkstra per
-    /// route only (shared corridors re-run), snaps with no radius cap (a
-    /// stop 50 km away resolves to a border node), and adds **every** stop
-    /// in `stops.txt` to the network — including orphans no route
-    /// references, which inflate the Laplacian dimension. The orphan-stop
-    /// and snap-radius regression tests assert these bugs against this
-    /// function and their absence in the new pipeline.
-    pub fn into_transit_reference(
-        &self,
-        road: &RoadNetwork,
-        projection: &Projection,
-    ) -> Result<(TransitNetwork, GtfsImportStats), GtfsError> {
-        let sequences = self.route_stop_sequences()?;
-        let node_index = GridIndex::build(250.0, road.positions());
-        let mut stats = GtfsImportStats::default();
-
-        // Snap every referenced stop once.
-        let mut builder = TransitNetworkBuilder::new();
-        let mut stop_road: Vec<u32> = Vec::new(); // builder stop id → road node
-        let mut by_gtfs_id: HashMap<&str, u32> = HashMap::new();
-        let mut by_road_node: HashMap<u32, u32> = HashMap::new();
-        for stop in &self.stops {
-            let p = projection.project(&GeoPoint::new(stop.lat, stop.lon));
-            let Some(node) = node_index.nearest(&p) else { continue };
-            stats.max_snap_m = stats.max_snap_m.max(p.dist(&road.position(node)));
-            let sid = *by_road_node.entry(node).or_insert_with(|| {
-                stop_road.push(node);
-                builder.add_stop(node, road.position(node))
-            });
-            by_gtfs_id.insert(stop.id.as_str(), sid);
-        }
-        stats.stops = builder.num_stops();
-
-        for (_route_id, seq) in &sequences {
-            // Translate to transit stop ids, dropping consecutive repeats
-            // (distinct GTFS stops can share one snapped node).
-            let mut stops: Vec<u32> = Vec::with_capacity(seq.len());
-            for gid in seq {
-                let Some(&sid) = by_gtfs_id.get(gid.as_str()) else { continue };
-                if stops.last() != Some(&sid) {
-                    stops.push(sid);
-                }
-            }
-            // Split at unroutable hops, then add each piece with ≥ 2 stops.
-            let mut piece: Vec<u32> = Vec::new();
-            let mut pieces: Vec<Vec<u32>> = Vec::new();
-            let mut paths: HashMap<(u32, u32), (f64, Vec<u32>)> = HashMap::new();
-            for &sid in &stops {
-                if let Some(&prev) = piece.last() {
-                    let a = stop_road[prev as usize];
-                    let b = stop_road[sid as usize];
-                    let key = (a.min(b), a.max(b));
-                    let routable = if let Some(hit) = paths.get(&key) {
-                        hit.0.is_finite()
-                    } else {
-                        match shortest_path(road, a, b) {
-                            Some(p) => {
-                                paths.insert(key, (p.dist, p.edges));
-                                true
-                            }
-                            None => {
-                                paths.insert(key, (f64::INFINITY, Vec::new()));
-                                false
-                            }
-                        }
-                    };
-                    if !routable {
-                        stats.dropped_hops += 1;
-                        pieces.push(std::mem::take(&mut piece));
-                    }
-                }
-                piece.push(sid);
-            }
-            pieces.push(piece);
-            let mut added = false;
-            for piece in pieces {
-                if piece.len() < 2 {
-                    continue;
-                }
-                builder.add_route(&piece, |u, v| {
-                    let a = stop_road[u as usize];
-                    let b = stop_road[v as usize];
-                    let key = (a.min(b), a.max(b));
-                    paths.get(&key).expect("hop path cached").clone()
-                });
-                added = true;
-                stats.routes += 1;
-            }
-            if !added {
-                stats.dropped_routes += 1;
-            }
-        }
-        if stats.routes == 0 {
-            return Err(GtfsError::EmptyFeed);
-        }
-        Ok((builder.build(), stats))
     }
 
     /// Exports a transit network as a GTFS feed.
@@ -766,11 +664,114 @@ fn parse_field<T: std::str::FromStr>(
     })
 }
 
+/// The pre-refactor importer, kept in test scope as the equivalence oracle
+/// of [`GtfsFeed::into_transit`].
+///
+/// Differences from `into_transit`, all deliberate: it rebuilds the snap
+/// `GridIndex` on every call, memoizes Dijkstra per route only (shared
+/// corridors re-run), snaps with no radius cap (a stop 50 km away resolves
+/// to a border node), and adds **every** stop in `stops.txt` to the
+/// network — including orphans no route references, which inflate the
+/// Laplacian dimension. The orphan-stop and snap-radius regression tests
+/// assert these bugs against this function and their absence in the new
+/// pipeline.
+#[cfg(test)]
+pub(crate) fn into_transit_reference(
+    feed: &GtfsFeed,
+    road: &RoadNetwork,
+    projection: &Projection,
+) -> Result<(TransitNetwork, GtfsImportStats), GtfsError> {
+    let sequences = feed.route_stop_sequences()?;
+    let node_index = ct_spatial::GridIndex::build(250.0, road.positions());
+    let mut stats = GtfsImportStats::default();
+
+    // Snap every referenced stop once.
+    let mut builder = ct_graph::TransitNetworkBuilder::new();
+    let mut stop_road: Vec<u32> = Vec::new(); // builder stop id → road node
+    let mut by_gtfs_id: HashMap<&str, u32> = HashMap::new();
+    let mut by_road_node: HashMap<u32, u32> = HashMap::new();
+    for stop in &feed.stops {
+        let p = projection.project(&ct_spatial::GeoPoint::new(stop.lat, stop.lon));
+        let Some(node) = node_index.nearest(&p) else { continue };
+        stats.max_snap_m = stats.max_snap_m.max(p.dist(&road.position(node)));
+        let sid = *by_road_node.entry(node).or_insert_with(|| {
+            stop_road.push(node);
+            builder.add_stop(node, road.position(node))
+        });
+        by_gtfs_id.insert(stop.id.as_str(), sid);
+    }
+    stats.stops = builder.num_stops();
+
+    for (_route_id, seq) in &sequences {
+        // Translate to transit stop ids, dropping consecutive repeats
+        // (distinct GTFS stops can share one snapped node).
+        let mut stops: Vec<u32> = Vec::with_capacity(seq.len());
+        for gid in seq {
+            let Some(&sid) = by_gtfs_id.get(gid.as_str()) else { continue };
+            if stops.last() != Some(&sid) {
+                stops.push(sid);
+            }
+        }
+        // Split at unroutable hops, then add each piece with ≥ 2 stops.
+        let mut piece: Vec<u32> = Vec::new();
+        let mut pieces: Vec<Vec<u32>> = Vec::new();
+        let mut paths: HashMap<(u32, u32), (f64, Vec<u32>)> = HashMap::new();
+        for &sid in &stops {
+            if let Some(&prev) = piece.last() {
+                let a = stop_road[prev as usize];
+                let b = stop_road[sid as usize];
+                let key = (a.min(b), a.max(b));
+                let routable = if let Some(hit) = paths.get(&key) {
+                    hit.0.is_finite()
+                } else {
+                    match ct_graph::shortest_path(road, a, b) {
+                        Some(p) => {
+                            paths.insert(key, (p.dist, p.edges));
+                            true
+                        }
+                        None => {
+                            paths.insert(key, (f64::INFINITY, Vec::new()));
+                            false
+                        }
+                    }
+                };
+                if !routable {
+                    stats.dropped_hops += 1;
+                    pieces.push(std::mem::take(&mut piece));
+                }
+            }
+            piece.push(sid);
+        }
+        pieces.push(piece);
+        let mut added = false;
+        for piece in pieces {
+            if piece.len() < 2 {
+                continue;
+            }
+            builder.add_route(&piece, |u, v| {
+                let a = stop_road[u as usize];
+                let b = stop_road[v as usize];
+                let key = (a.min(b), a.max(b));
+                paths.get(&key).expect("hop path cached").clone()
+            });
+            added = true;
+            stats.routes += 1;
+        }
+        if !added {
+            stats.dropped_routes += 1;
+        }
+    }
+    if stats.routes == 0 {
+        return Err(GtfsError::EmptyFeed);
+    }
+    Ok((builder.build(), stats))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ct_graph::RoadEdge;
-    use ct_spatial::Point;
+    use ct_spatial::{GeoPoint, Point};
 
     /// A 4×4 road grid, 100 m spacing, anchored at a Chicago-like origin.
     fn grid() -> (RoadNetwork, Projection) {
@@ -1058,7 +1059,8 @@ mod tests {
         let (road, proj) = grid();
         let feed = feed_for_grid(&proj, &road);
         let (net, stats) = feed.into_transit(&road, &proj).expect("import");
-        let (reference, ref_stats) = feed.into_transit_reference(&road, &proj).expect("reference");
+        let (reference, ref_stats) =
+            into_transit_reference(&feed, &road, &proj).expect("reference");
         assert_eq!(net.stops(), reference.stops());
         assert_eq!(net.edges(), reference.edges());
         assert_eq!(net.routes(), reference.routes());

@@ -1,37 +1,29 @@
-//! City-scale GTFS ingestion: shared snap index, city-wide hop-path cache,
-//! streaming `stop_times.txt`.
+//! City-scale GTFS ingestion: one snap index and one corridor cache per
+//! road network, streaming `stop_times.txt`.
 //!
 //! [`crate::gtfs::GtfsFeed::into_transit`] is a one-shot convenience: it
-//! rebuilds the road-node spatial index and forgets every realized hop path
-//! as soon as it returns. That is fine for a single import and wasteful for
-//! the paper's real workload (§7.1.1) — many feeds (or many revisions of
-//! one feed) against a single road network, where routes share corridors
-//! heavily. This module is the reusable pipeline:
+//! builds a [`GtfsIngest`], imports once and drops it, so the road-node
+//! spatial index and every realized hop path go with it. The paper's real
+//! workload (§7.1.1) can be many feeds, or many revisions of one feed,
+//! against a single road network, where routes share corridors heavily.
+//! [`GtfsIngest`] is the reusable pipeline for that:
 //!
 //! * [`SnapIndex`] — one [`ct_spatial::GridIndex`] over the road nodes,
-//!   built once per road network and shared across imports, with a
-//!   configurable snap radius (`max_snap_m`) so a stop far outside the
-//!   network is *dropped* instead of snapping to an arbitrary border node
-//!   and fabricating absurd hops;
-//! * [`HopPathCache`] — road shortest paths keyed by canonical road-node
-//!   pair, shared across **all** routes and persistent across imports, so
-//!   each unique corridor runs Dijkstra exactly once (counted in
-//!   [`HopCacheStats`]); realization fans out over
-//!   [`ct_graph::shortest_paths_batch`]. The cache is internally
-//!   synchronized (`&self` everywhere, counters atomic), so one
-//!   `Arc<HopPathCache>` can back concurrent imports on a serving host —
-//!   see [`GtfsIngest::with_shared_cache`];
-//! * [`GtfsIngest`] — ties both to a road network and drives imports,
-//!   either from a parsed [`GtfsFeed`] ([`GtfsIngest::import`]) or
-//!   streaming straight from a feed directory
-//!   ([`GtfsIngest::import_dir`]), which never materializes the full
-//!   `stop_times.txt` table.
+//!   built once per road network, with a snap radius (`max_snap_m`) so a
+//!   stop far outside the network is *dropped* instead of snapping to an
+//!   arbitrary border node and fabricating absurd hops;
+//! * a corridor cache — road shortest paths keyed by canonical road-node
+//!   pair, shared by **all** routes and kept across imports, so each unique
+//!   corridor runs Dijkstra exactly once (counted in [`HopCacheStats`]);
+//!   the missing corridors of an import are realized in one
+//!   [`ct_graph::shortest_paths_batch`] over all cores;
+//! * imports either from a parsed [`GtfsFeed`] ([`GtfsIngest::import`]) or
+//!   streaming straight from a feed directory ([`GtfsIngest::import_dir`]),
+//!   which never materializes the full `stop_times.txt` table.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use ct_graph::{shortest_paths_batch, RoadNetwork, TransitNetwork, TransitNetworkBuilder};
 use ct_spatial::{GeoPoint, GridIndex, Point, Projection};
@@ -94,288 +86,27 @@ impl SnapIndex {
 /// road path connects the pair.
 type HopPath = Option<(f64, Vec<u32>)>;
 
-/// Counters for [`HopPathCache`]: how much corridor reuse saved.
-///
-/// Accumulated atomically, so totals are **exact** however many importer
-/// threads share the cache — every corridor request lands in exactly one
-/// counter, hence the conservation law `hits + dijkstra_runs == total
-/// corridor requests` holds under any interleaving (tested). Two racing
-/// batches that both miss the same corridor each count their own Dijkstra
-/// run (the work really happened); sequential use keeps the strict
-/// one-run-per-unique-corridor accounting.
+/// The cache key of corridor `(a, b)`: the unordered road-node pair.
+fn corridor(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b), a.max(b))
+}
+
+/// Counters of a [`GtfsIngest`]'s corridor cache: how much corridor reuse
+/// saved, over every import so far. Every corridor request lands in
+/// exactly one of `hits` and `dijkstra_runs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HopCacheStats {
-    /// Dijkstra runs performed — one per unique corridor requested while it
-    /// is resident (an evicted corridor re-runs on its next request; with
-    /// an unbounded cache and a single importer this is exactly one per
-    /// unique corridor, ever).
+    /// Dijkstra runs performed: exactly one per unique corridor, ever.
     pub dijkstra_runs: usize,
-    /// Corridor requests answered from the cache (within a batch, across
+    /// Corridor requests answered from the cache (within an import, across
     /// routes, or across imports).
     pub hits: usize,
     /// Unique corridors with no connecting road path.
     pub unroutable: usize,
-    /// Corridors dropped by the entry cap (see
-    /// [`HopPathCache::with_max_entries`]); `0` when unbounded.
-    pub evictions: usize,
 }
 
-/// Atomic accumulators behind [`HopCacheStats`]. Relaxed ordering is
-/// enough: the counters carry no cross-thread happens-before obligations,
-/// only totals, and `fetch_add` never loses an increment.
-#[derive(Debug, Default)]
-struct CacheCounters {
-    dijkstra_runs: AtomicUsize,
-    hits: AtomicUsize,
-    unroutable: AtomicUsize,
-    evictions: AtomicUsize,
-}
-
-impl CacheCounters {
-    fn snapshot(&self) -> HopCacheStats {
-        HopCacheStats {
-            dijkstra_runs: self.dijkstra_runs.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            unroutable: self.unroutable.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The map state of [`HopPathCache`], guarded by one mutex. The lock is
-/// held only for map surgery — never across a Dijkstra batch.
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// Canonical pair → realized path. Geometry is stored in the
-    /// orientation of the corridor's first realization (matching what the
-    /// pre-refactor importer put on the first transit edge using it).
-    paths: HashMap<(u32, u32), HopPath>,
-    /// Realization order of resident corridors (front = oldest), used for
-    /// eviction when bounded.
-    order: std::collections::VecDeque<(u32, u32)>,
-}
-
-/// A city-wide cache of realized hop paths, keyed by canonical (unordered)
-/// road-node pair.
-///
-/// The pre-refactor importer memoized Dijkstra **per route**, so corridors
-/// shared between routes — the common case in any real network — re-ran
-/// it once per route. This cache is shared across all routes of all
-/// imports it lives through: each unique corridor costs exactly one
-/// Dijkstra while resident (asserted by `HopCacheStats::dijkstra_runs`).
-///
-/// By default the cache is unbounded. Long-lived servers importing many
-/// feeds should cap it with [`HopPathCache::with_max_entries`]: beyond the
-/// cap the **oldest-realized** corridor is dropped first (FIFO — corridor
-/// popularity is dominated by feed locality, so age is a good proxy), and
-/// every drop is counted in [`HopCacheStats::evictions`].
-///
-/// **Thread safety.** Every method takes `&self`: the maps sit behind one
-/// mutex (held only for map surgery, never across a Dijkstra batch) and
-/// the counters are atomic, so a single `Arc<HopPathCache>` serves any
-/// number of concurrent importers with exact totals. Callers consume a
-/// batch through the value [`HopPathCache::realize`] *returns* — never
-/// through follow-up [`HopPathCache::path`] lookups — so a concurrent
-/// batch enforcing the cap can never yank a corridor out from under the
-/// import that just realized it.
-#[derive(Debug, Default)]
-pub struct HopPathCache {
-    inner: Mutex<CacheInner>,
-    /// Entry cap; `0` = unbounded. Fixed at construction.
-    max_entries: usize,
-    stats: CacheCounters,
-}
-
-impl Clone for HopPathCache {
-    /// Deep-copies the resident corridors and the counter values; the
-    /// clone is an independent cache (shared use goes through `Arc`, not
-    /// `Clone`).
-    fn clone(&self) -> Self {
-        let inner = self.inner.lock().expect("hop cache poisoned");
-        let stats = self.stats.snapshot();
-        HopPathCache {
-            inner: Mutex::new(CacheInner {
-                paths: inner.paths.clone(),
-                order: inner.order.clone(),
-            }),
-            max_entries: self.max_entries,
-            stats: CacheCounters {
-                dijkstra_runs: AtomicUsize::new(stats.dijkstra_runs),
-                hits: AtomicUsize::new(stats.hits),
-                unroutable: AtomicUsize::new(stats.unroutable),
-                evictions: AtomicUsize::new(stats.evictions),
-            },
-        }
-    }
-}
-
-impl HopPathCache {
-    /// Creates an empty, unbounded cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Caps the cache at `max_entries` corridors (builder style; `0` =
-    /// unbounded). The cap is enforced at the **start** of each
-    /// [`HopPathCache::realize`] batch — never mid-batch — so corridors the
-    /// current batch realized stay resident until their caller has read
-    /// them; a single batch may therefore transiently exceed the cap by
-    /// its own working-set size. Evicted corridors re-run Dijkstra on
-    /// their next request.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.max_entries = max_entries;
-        let inner = self.inner.get_mut().expect("hop cache poisoned");
-        Self::enforce_cap(inner, max_entries, &self.stats);
-        self
-    }
-
-    /// The configured entry cap (`0` = unbounded).
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
-    fn enforce_cap(inner: &mut CacheInner, max_entries: usize, stats: &CacheCounters) {
-        if max_entries == 0 {
-            return;
-        }
-        while inner.paths.len() > max_entries {
-            let oldest = inner.order.pop_front().expect("order tracks every resident corridor");
-            inner.paths.remove(&oldest);
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn key(a: u32, b: u32) -> (u32, u32) {
-        (a.min(b), a.max(b))
-    }
-
-    /// Number of unique corridors realized so far (routable or not).
-    // ctlint::allow(dead-pub): cache-accounting contract documented in docs/gtfs_read.md; crates/data/tests/properties.rs asserts the cap with it
-    pub fn unique_corridors(&self) -> usize {
-        self.inner.lock().expect("hop cache poisoned").paths.len()
-    }
-
-    /// Reuse/miss counters (an atomic point-in-time snapshot).
-    pub fn stats(&self) -> HopCacheStats {
-        self.stats.snapshot()
-    }
-
-    /// The realized path for corridor `(a, b)`, if it is resident and
-    /// routable. An owned copy: residency is only guaranteed at the moment
-    /// of the call (a concurrent capped batch may evict afterwards), so no
-    /// reference into the cache can be handed out.
-    pub fn path(&self, a: u32, b: u32) -> Option<(f64, Vec<u32>)> {
-        self.inner
-            .lock()
-            .expect("hop cache poisoned")
-            .paths
-            .get(&Self::key(a, b))
-            .and_then(|p| p.clone())
-    }
-
-    /// Whether corridor `(a, b)` is resident (routable or not).
-    pub fn contains(&self, a: u32, b: u32) -> bool {
-        self.inner.lock().expect("hop cache poisoned").paths.contains_key(&Self::key(a, b))
-    }
-
-    /// Ensures every corridor in `wanted` is realized, running the missing
-    /// ones through [`shortest_paths_batch`] over `threads` workers (`0` =
-    /// all cores), and returns the resolved path for **each** `wanted`
-    /// entry, in order (`None` = unroutable).
-    ///
-    /// Corridors may repeat (the importer feeds every hop of every route);
-    /// each is realized at most once per batch, in the orientation of its
-    /// first occurrence, and every avoided run counts as a hit. Results
-    /// merge by corridor key, so the cache contents are invariant under
-    /// thread count. Work with the returned vector, not follow-up
-    /// [`HopPathCache::path`] calls: the return value is immune to
-    /// evictions by concurrent batches.
-    ///
-    /// Concurrency: the lock is released while Dijkstra runs, so racing
-    /// batches overlap their compute. Two batches that both miss the same
-    /// corridor both run it (both runs are counted; the first merge wins
-    /// residency) — the conservation law `hits + dijkstra_runs == total
-    /// requests` stays exact either way.
-    pub fn realize(
-        &self,
-        road: &RoadNetwork,
-        wanted: &[(u32, u32)],
-        threads: usize,
-    ) -> Vec<HopPath> {
-        // Phase 1 (locked): trim to the cap *before* realizing — so this
-        // batch's corridors stay resident for its duration — and split
-        // `wanted` into resident (resolved now, immune to later eviction)
-        // and missing (first-occurrence orientation).
-        let mut resolved: Vec<Option<HopPath>> = Vec::with_capacity(wanted.len());
-        let mut missing: Vec<(u32, u32)> = Vec::new();
-        let mut queued: HashMap<(u32, u32), usize> = HashMap::new();
-        let mut hits = 0usize;
-        {
-            let mut inner = self.inner.lock().expect("hop cache poisoned");
-            Self::enforce_cap(&mut inner, self.max_entries, &self.stats);
-            for &(a, b) in wanted {
-                let key = Self::key(a, b);
-                if let Some(path) = inner.paths.get(&key) {
-                    hits += 1;
-                    resolved.push(Some(path.clone()));
-                } else {
-                    match queued.entry(key) {
-                        Entry::Occupied(_) => hits += 1, // repeat within this batch
-                        Entry::Vacant(slot) => {
-                            slot.insert(missing.len());
-                            missing.push((a, b));
-                        }
-                    }
-                    resolved.push(None); // filled from `computed` in phase 3
-                }
-            }
-        }
-        self.stats.hits.fetch_add(hits, Ordering::Relaxed);
-        if missing.is_empty() {
-            return resolved.into_iter().map(|p| p.expect("all resident")).collect();
-        }
-
-        // Phase 2 (unlocked): the expensive part.
-        let results = shortest_paths_batch(road, &missing, threads);
-        self.stats.dijkstra_runs.fetch_add(missing.len(), Ordering::Relaxed);
-        let computed: Vec<HopPath> = missing
-            .iter()
-            .zip(results)
-            .map(|(_, result)| match result {
-                Some(p) => Some((p.dist, p.edges)),
-                None => {
-                    self.stats.unroutable.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            })
-            .collect();
-
-        // Phase 3 (locked): merge. A corridor a racing batch inserted
-        // meanwhile keeps the racer's entry (first realization wins,
-        // including its orientation — the single-importer rule, extended).
-        {
-            let mut inner = self.inner.lock().expect("hop cache poisoned");
-            for (&(a, b), stored) in missing.iter().zip(&computed) {
-                let key = Self::key(a, b);
-                if let Entry::Vacant(slot) = inner.paths.entry(key) {
-                    slot.insert(stored.clone());
-                    inner.order.push_back(key);
-                }
-            }
-        }
-        resolved
-            .into_iter()
-            .zip(wanted)
-            .map(|(path, &(a, b))| match path {
-                Some(path) => path,
-                None => computed[queued[&Self::key(a, b)]].clone(),
-            })
-            .collect()
-    }
-}
-
-/// Reusable GTFS import pipeline for one road network: shared [`SnapIndex`],
-/// persistent [`HopPathCache`], parallel hop realization.
+/// Reusable GTFS import pipeline for one road network: a [`SnapIndex`] and
+/// a corridor cache that persist across imports.
 ///
 /// ```
 /// use ct_data::{CityConfig, GtfsFeed, GtfsIngest};
@@ -388,83 +119,75 @@ impl HopPathCache {
 /// let mut ingest = GtfsIngest::new(&city.road);
 /// let (net, stats) = ingest.import(&feed, &proj).unwrap();
 /// assert_eq!(net.num_stops(), stats.stops);
-/// // Every unique corridor ran Dijkstra exactly once.
-/// assert_eq!(ingest.cache().stats().dijkstra_runs, ingest.cache().unique_corridors());
+/// // Every transit edge is one corridor, and each ran Dijkstra exactly once;
+/// // the hops that repeat a corridor were answered from the cache.
+/// let runs = ingest.stats().dijkstra_runs;
+/// assert_eq!(runs, net.num_edges());
+/// let hops: usize = net.routes().iter().map(|r| r.stops.len() - 1).sum();
+/// assert_eq!(runs + ingest.stats().hits, hops);
 /// // A re-import answers every hop from the cache.
-/// let runs = ingest.cache().stats().dijkstra_runs;
 /// ingest.import(&feed, &proj).unwrap();
-/// assert_eq!(ingest.cache().stats().dijkstra_runs, runs);
+/// assert_eq!(ingest.stats().dijkstra_runs, runs);
 /// ```
 #[derive(Debug)]
 pub struct GtfsIngest<'a> {
     road: &'a RoadNetwork,
     snap: SnapIndex,
-    /// Shared so several importer threads can pool one city-wide cache
-    /// ([`GtfsIngest::with_shared_cache`]); a solo pipeline is simply the
-    /// `Arc`'s only holder.
-    cache: Arc<HopPathCache>,
-    threads: usize,
+    /// Canonical road-node pair → realized path, in the orientation of the
+    /// corridor's first request (what the builder puts on the first transit
+    /// edge using it).
+    corridors: HashMap<(u32, u32), HopPath>,
+    stats: HopCacheStats,
 }
 
 impl<'a> GtfsIngest<'a> {
     /// Builds the pipeline for `road`: snap index with
-    /// [`DEFAULT_MAX_SNAP_M`], empty cache, all cores.
+    /// [`DEFAULT_MAX_SNAP_M`], empty corridor cache.
     pub fn new(road: &'a RoadNetwork) -> Self {
         GtfsIngest {
             road,
             snap: SnapIndex::build(road),
-            cache: Arc::new(HopPathCache::new()),
-            threads: 0,
+            corridors: HashMap::new(),
+            stats: HopCacheStats::default(),
         }
     }
 
-    /// Overrides the snap radius (builder style).
-    pub fn with_max_snap_m(mut self, max_snap_m: f64) -> Self {
-        self.snap = self.snap.with_max_snap_m(max_snap_m);
-        self
+    /// Corridor-cache counters, accumulated over every import so far.
+    pub fn stats(&self) -> HopCacheStats {
+        self.stats
     }
 
-    /// Caps the hop-path cache at `max_entries` corridors (builder style;
-    /// `0` = unbounded, the default). Long-lived servers importing many
-    /// feeds should set this so the cache cannot grow without bound; see
-    /// [`HopPathCache::with_max_entries`] for the eviction policy.
-    /// Replaces the pipeline's cache with a fresh capped one — call it at
-    /// construction, before anything is realized.
-    // ctlint::allow(dead-pub): long-lived-server knob documented in docs/gtfs_read.md
-    pub fn with_cache_cap(mut self, max_entries: usize) -> Self {
-        self.cache = Arc::new(HopPathCache::new().with_max_entries(max_entries));
-        self
-    }
-
-    /// Attaches an existing (possibly already warm) cache, typically one
-    /// `Arc` shared by several importer pipelines on a serving host:
-    /// concurrent imports then pool their realized corridors, and
-    /// [`HopCacheStats`] totals stay exact across all of them (builder
-    /// style).
-    // ctlint::allow(dead-pub): cache-pooling contract documented in docs/gtfs_read.md
-    pub fn with_shared_cache(mut self, cache: Arc<HopPathCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Overrides the worker-thread count for hop realization (builder
-    /// style). `0` means all available cores — the same convention as
-    /// `ct_core::Parallelism`, whose `worker_threads()` value callers
-    /// plumbing the workspace-wide knob should pass here. Never affects
-    /// results (corridors merge by key).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The city-wide hop-path cache (persistent across imports).
-    pub fn cache(&self) -> &HopPathCache {
-        &self.cache
+    /// Realizes every corridor in `wanted` that the cache lacks, in one
+    /// [`shortest_paths_batch`] over all cores, and returns the path of
+    /// **each** `wanted` entry, in order (`None` = unroutable).
+    ///
+    /// Corridors may repeat (the importer feeds every hop of every route);
+    /// each is realized once, in the orientation of its first request, and
+    /// every request it answers after that counts as a hit.
+    fn realize(&mut self, wanted: &[(u32, u32)]) -> Vec<&HopPath> {
+        let mut missing: Vec<(u32, u32)> = Vec::new();
+        let mut queued: HashSet<(u32, u32)> = HashSet::new();
+        for &(a, b) in wanted {
+            let key = corridor(a, b);
+            if self.corridors.contains_key(&key) || !queued.insert(key) {
+                self.stats.hits += 1;
+            } else {
+                missing.push((a, b));
+            }
+        }
+        let results = shortest_paths_batch(self.road, &missing, 0);
+        self.stats.dijkstra_runs += missing.len();
+        for (&(a, b), result) in missing.iter().zip(results) {
+            let path = result.map(|p| (p.dist, p.edges));
+            self.stats.unroutable += usize::from(path.is_none());
+            self.corridors.insert(corridor(a, b), path);
+        }
+        wanted.iter().map(|&(a, b)| &self.corridors[&corridor(a, b)]).collect()
     }
 
     /// Imports a parsed feed. See [`GtfsFeed::into_transit`] for the
-    /// robustness rules; unlike that convenience, the snap index and hop
-    /// cache persist for the next import.
+    /// robustness rules; unlike that convenience, the snap index and the
+    /// corridor cache persist for the next import.
     pub fn import(
         &mut self,
         feed: &GtfsFeed,
@@ -569,7 +292,7 @@ impl<'a> GtfsIngest<'a> {
     }
 
     /// Shared back half of both import paths: snap referenced stops,
-    /// realize unique corridors in one parallel batch, split routes at
+    /// realize the missing corridors in one parallel batch, split routes at
     /// unroutable hops, and build the network from the surviving pieces.
     fn assemble(
         &mut self,
@@ -617,31 +340,22 @@ impl<'a> GtfsIngest<'a> {
             node_seqs.push(nodes);
         }
 
-        // One parallel Dijkstra per unique corridor, city-wide. This
-        // import works off the *returned* batch from here on: a concurrent
-        // import enforcing the cache cap may evict corridors at any time,
-        // so later `cache.path()` lookups could miss what this batch just
-        // realized.
-        let resolved = self.cache.realize(self.road, &wanted, self.threads);
-        let mut batch: HashMap<(u32, u32), HopPath> = HashMap::with_capacity(wanted.len());
-        for (&(a, b), path) in wanted.iter().zip(resolved) {
-            batch.entry((a.min(b), a.max(b))).or_insert(path);
-        }
-        let hop = |a: u32, b: u32| -> &HopPath { &batch[&(a.min(b), a.max(b))] };
+        // One Dijkstra per corridor the cache lacks, in one parallel batch.
+        let resolved = self.realize(&wanted);
 
         // Split each route at unroutable hops; pieces with ≥ 2 stops
-        // survive and mark their nodes as used.
+        // survive and mark their nodes as used. The hops come in the order
+        // `wanted` lists them.
+        let mut hops = resolved.into_iter();
         let mut used: HashSet<u32> = HashSet::new();
         let mut route_pieces: Vec<Vec<Vec<u32>>> = Vec::with_capacity(node_seqs.len());
         for nodes in &node_seqs {
             let mut pieces: Vec<Vec<u32>> = Vec::new();
             let mut piece: Vec<u32> = Vec::new();
             for &node in nodes {
-                if let Some(&prev) = piece.last() {
-                    if hop(prev, node).is_none() {
-                        stats.dropped_hops += 1;
-                        pieces.push(std::mem::take(&mut piece));
-                    }
+                if !piece.is_empty() && hops.next().expect("one path per hop").is_none() {
+                    stats.dropped_hops += 1;
+                    pieces.push(std::mem::take(&mut piece));
                 }
                 piece.push(node);
             }
@@ -672,7 +386,7 @@ impl<'a> GtfsIngest<'a> {
         stats.stops = builder.num_stops();
 
         // Routes: every surviving piece becomes one transit route; edge
-        // geometry comes straight from the cache.
+        // geometry comes straight from the corridor cache.
         for pieces in &route_pieces {
             let mut added = false;
             for piece in pieces {
@@ -680,7 +394,7 @@ impl<'a> GtfsIngest<'a> {
                 builder.add_route(&stop_seq, |u, v| {
                     let a = stop_road[u as usize];
                     let b = stop_road[v as usize];
-                    hop(a, b).clone().expect("routable hop resolved by this batch")
+                    self.corridors[&corridor(a, b)].clone().expect("a surviving hop is routable")
                 });
                 added = true;
                 stats.routes += 1;
@@ -699,7 +413,7 @@ impl<'a> GtfsIngest<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gtfs::{GtfsRoute, GtfsStopTime, GtfsTrip};
+    use crate::gtfs::{into_transit_reference, GtfsRoute, GtfsStopTime, GtfsTrip};
     use ct_graph::RoadEdge;
 
     fn assert_net_identical(a: &TransitNetwork, b: &TransitNetwork) {
@@ -781,143 +495,21 @@ mod tests {
     #[test]
     fn hop_cache_runs_one_dijkstra_per_unique_corridor() {
         let road = grid_road(3, 3);
-        let cache = HopPathCache::new();
+        let mut ingest = GtfsIngest::new(&road);
         // (0,1) requested three times — once reversed — plus (1,2).
-        cache.realize(&road, &[(0, 1), (1, 2), (1, 0), (0, 1)], 1);
-        let s = cache.stats();
+        let paths = ingest.realize(&[(0, 1), (1, 2), (1, 0), (0, 1)]);
+        assert_eq!(paths.len(), 4);
+        assert_eq!(paths[0].as_ref().unwrap().0, 100.0);
+        assert_eq!(paths[2], paths[0], "a reversed request reads the same corridor");
+        assert_eq!(paths[3], paths[0]);
+        let s = ingest.stats();
         assert_eq!(s.dijkstra_runs, 2);
         assert_eq!(s.hits, 2);
-        assert_eq!(cache.unique_corridors(), 2);
         // A later batch over the same corridors runs nothing new.
-        cache.realize(&road, &[(2, 1), (1, 0)], 1);
-        assert_eq!(cache.stats().dijkstra_runs, 2);
-        assert_eq!(cache.stats().hits, 4);
-        assert!(cache.path(0, 1).is_some());
-        assert_eq!(cache.path(0, 1).unwrap().0, 100.0);
-    }
-
-    #[test]
-    fn hop_cache_cap_evicts_oldest_corridor_first() {
-        let road = grid_road(3, 3);
-        let cache = HopPathCache::new().with_max_entries(2);
-        assert_eq!(cache.max_entries(), 2);
-        cache.realize(&road, &[(0, 1), (1, 2), (2, 5)], 1);
-        // The cap pins the current batch: all three stay resident for the
-        // caller that requested them; nothing is evicted yet.
-        assert_eq!(cache.unique_corridors(), 3);
-        assert_eq!(cache.stats().evictions, 0);
-
-        // The next batch trims to the cap first — the oldest, (0,1), goes
-        // — and then re-realizes it: an eviction-induced Dijkstra re-run.
-        let runs = cache.stats().dijkstra_runs;
-        cache.realize(&road, &[(0, 1)], 1);
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.stats().dijkstra_runs, runs + 1);
-        assert!(cache.contains(0, 1) && cache.contains(1, 2) && cache.contains(2, 5));
-        assert_eq!(cache.path(0, 1).unwrap().0, 100.0);
-
-        // Next trim drops (1,2) — strictly oldest-first — and the resident
-        // (2,5) answers from the cache.
-        let hits = cache.stats().hits;
-        cache.realize(&road, &[(2, 5)], 1);
-        assert_eq!(cache.stats().evictions, 2);
-        assert!(!cache.contains(1, 2), "oldest corridor must go first");
-        assert_eq!(cache.stats().hits, hits + 1);
-        assert_eq!(cache.unique_corridors(), 2);
-    }
-
-    #[test]
-    fn uncapped_cache_never_evicts() {
-        let road = grid_road(3, 3);
-        let cache = HopPathCache::new();
-        let wanted: Vec<(u32, u32)> = (0..8).map(|i| (i, i + 1)).collect();
-        cache.realize(&road, &wanted, 1);
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.unique_corridors(), 8);
-    }
-
-    #[test]
-    fn ingest_cache_cap_is_plumbed_and_survives_imports() {
-        let city = crate::CityConfig::small().seed(31).generate();
-        let proj = Projection::new(GeoPoint::new(41.85, -87.65));
-        let feed = GtfsFeed::from_transit(&city.transit, &proj);
-        let mut capped = GtfsIngest::new(&city.road).with_cache_cap(4);
-        let (net, _) = capped.import(&feed, &proj).expect("capped import");
-        // The cap bounds residency *between* batches, never correctness:
-        // output matches the unbounded pipeline.
-        let (reference, _) = GtfsIngest::new(&city.road).import(&feed, &proj).expect("import");
-        assert_net_identical(&net, &reference);
-        let corridors = capped.cache().unique_corridors();
-        assert!(corridors > 4, "fixture too small to exercise the cap");
-
-        // A re-import trims to the cap first, then re-realizes what the
-        // feed needs: evictions are surfaced and the evicted corridors
-        // cost fresh Dijkstras — the price of bounded memory.
-        let runs = capped.cache().stats().dijkstra_runs;
-        let (net2, _) = capped.import(&feed, &proj).expect("re-import");
-        assert_net_identical(&net2, &reference);
-        assert_eq!(capped.cache().stats().evictions, corridors - 4);
-        assert!(capped.cache().stats().dijkstra_runs > runs, "evicted corridors must re-run");
-        // Steady state: residency returns to the feed's working set, not
-        // the sum over imports.
-        assert_eq!(capped.cache().unique_corridors(), corridors);
-    }
-
-    #[test]
-    fn concurrent_imports_share_cache_with_exact_totals() {
-        // The serving-host pattern: several importer threads pooling one
-        // Arc'd cache. Counters must obey the conservation law exactly —
-        // every corridor request is either a hit or a counted Dijkstra
-        // run, with no lost increments — and every import must produce
-        // the same network a solo import produces.
-        let city = crate::CityConfig::small().seed(41).generate();
-        let proj = Projection::new(GeoPoint::new(41.85, -87.65));
-        let feed = GtfsFeed::from_transit(&city.transit, &proj);
-        let (reference, _) = GtfsIngest::new(&city.road).import(&feed, &proj).expect("solo");
-        // Request count per import = hops of every route = what one
-        // import's `wanted` list holds (deterministic for a fixed feed).
-        let solo = Arc::new(HopPathCache::new());
-        let requests_per_import = {
-            let mut ingest = GtfsIngest::new(&city.road).with_shared_cache(Arc::clone(&solo));
-            ingest.import(&feed, &proj).expect("count import");
-            let s = solo.stats();
-            s.hits + s.dijkstra_runs
-        };
-
-        let cache = Arc::new(HopPathCache::new());
-        let importers = 4usize;
-        std::thread::scope(|scope| {
-            for _ in 0..importers {
-                let cache = Arc::clone(&cache);
-                let (road, feed, proj, reference) = (&city.road, &feed, &proj, &reference);
-                scope.spawn(move || {
-                    let mut ingest = GtfsIngest::new(road).with_shared_cache(cache);
-                    for _ in 0..2 {
-                        let (net, _) = ingest.import(feed, proj).expect("concurrent import");
-                        assert_net_identical(&net, reference);
-                    }
-                });
-            }
-        });
-
-        let s = cache.stats();
-        assert_eq!(
-            s.hits + s.dijkstra_runs,
-            requests_per_import * importers * 2,
-            "counter conservation violated: {s:?}"
-        );
-        // Racing first imports may duplicate runs for a corridor, but
-        // never miss one, and the seven warm imports answer everything
-        // from the pooled cache — so runs stay far below request volume.
-        assert!(s.dijkstra_runs >= cache.unique_corridors(), "{s:?}");
-        assert!(s.hits >= requests_per_import * (importers * 2 - 4), "{s:?}");
-        assert_eq!(s.evictions, 0);
-
-        // Single-writer accounting stays strict: a fresh solo pipeline
-        // over the same feed runs one Dijkstra per unique corridor.
-        let mut strict = GtfsIngest::new(&city.road);
-        strict.import(&feed, &proj).expect("strict import");
-        assert_eq!(strict.cache().stats().dijkstra_runs, strict.cache().unique_corridors());
+        let paths = ingest.realize(&[(2, 1), (1, 0)]);
+        assert_eq!(paths[1].as_ref().unwrap().0, 100.0);
+        assert_eq!(ingest.stats().dijkstra_runs, 2);
+        assert_eq!(ingest.stats().hits, 4);
     }
 
     #[test]
@@ -926,12 +518,14 @@ mod tests {
             vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0), Point::new(10_000.0, 0.0)],
             vec![RoadEdge { u: 0, v: 1, length: 100.0 }],
         );
-        let cache = HopPathCache::new();
-        cache.realize(&road, &[(0, 2), (0, 1)], 2);
-        assert_eq!(cache.stats().unroutable, 1);
-        assert!(cache.path(0, 2).is_none());
-        assert!(cache.contains(0, 2), "unroutable corridor is still cached");
-        assert!(cache.path(0, 1).is_some());
+        let mut ingest = GtfsIngest::new(&road);
+        let paths = ingest.realize(&[(0, 2), (0, 1)]);
+        assert!(paths[0].is_none());
+        assert!(paths[1].is_some());
+        assert_eq!(ingest.stats().unroutable, 1);
+        // The unroutable corridor is still cached: asking again runs nothing.
+        assert!(ingest.realize(&[(2, 0)])[0].is_none());
+        assert_eq!(ingest.stats(), HopCacheStats { dijkstra_runs: 2, hits: 1, unroutable: 1 });
     }
 
     #[test]
@@ -940,7 +534,7 @@ mod tests {
         let proj = Projection::new(GeoPoint::new(41.85, -87.65));
         let feed = GtfsFeed::from_transit(&city.transit, &proj);
         let (reference, ref_stats) =
-            feed.into_transit_reference(&city.road, &proj).expect("reference import");
+            into_transit_reference(&feed, &city.road, &proj).expect("reference import");
         let mut ingest = GtfsIngest::new(&city.road);
         let (net, stats) = ingest.import(&feed, &proj).expect("import");
         assert_net_identical(&net, &reference);
@@ -952,27 +546,9 @@ mod tests {
         assert_eq!(stats.dropped_stops, 0);
     }
 
-    #[test]
-    fn import_is_invariant_under_thread_count() {
-        let city = crate::CityConfig::small().seed(21).generate();
-        let proj = Projection::new(GeoPoint::new(41.85, -87.65));
-        let feed = GtfsFeed::from_transit(&city.transit, &proj);
-        let (reference, ref_stats) = GtfsIngest::new(&city.road)
-            .with_threads(1)
-            .import(&feed, &proj)
-            .expect("single-threaded import");
-        for threads in [0, 2, 5] {
-            let mut ingest = GtfsIngest::new(&city.road).with_threads(threads);
-            let (net, stats) = ingest.import(&feed, &proj).expect("import");
-            assert_net_identical(&net, &reference);
-            assert_eq!(stats, ref_stats, "threads={threads}");
-        }
-    }
-
     /// The acceptance-scale scenario: a city with ≥ 5k stops and ≥ 200
     /// routes sharing corridors imports with exactly one Dijkstra per
-    /// unique corridor, invariant under thread count, and answers a
-    /// re-import entirely from the cache.
+    /// unique corridor, and answers a re-import entirely from the cache.
     #[test]
     fn large_city_runs_one_dijkstra_per_unique_corridor() {
         let (rows, cols) = (75u32, 70u32);
@@ -1004,20 +580,17 @@ mod tests {
         assert_eq!(stats.dropped_stops, 0);
 
         // Exactly one Dijkstra per unique corridor, despite heavy sharing.
-        let s = ingest.cache().stats();
-        assert_eq!(s.dijkstra_runs, ingest.cache().unique_corridors());
+        let corridors: HashSet<(u32, u32)> =
+            routes.iter().flat_map(|r| r.windows(2).map(|w| corridor(w[0], w[1]))).collect();
+        let s = ingest.stats();
+        assert_eq!(s.dijkstra_runs, corridors.len());
         assert!(s.hits > 0, "L-routes must reuse row/column corridors");
         assert_eq!(s.unroutable, 0);
 
         // Re-import: fully answered by the city-wide cache.
         let (net2, _) = ingest.import(&feed, &proj).expect("re-import");
-        assert_eq!(ingest.cache().stats().dijkstra_runs, s.dijkstra_runs);
+        assert_eq!(ingest.stats().dijkstra_runs, s.dijkstra_runs);
         assert_net_identical(&net2, &net);
-
-        // Thread invariance at scale.
-        let (net4, _) =
-            GtfsIngest::new(&road).with_threads(4).import(&feed, &proj).expect("4-thread import");
-        assert_net_identical(&net4, &net);
     }
 
     #[test]
@@ -1186,7 +759,7 @@ mod tests {
         assert_eq!(net.adjacency_matrix().n(), 3);
 
         // The retained pre-refactor importer exhibits the bug.
-        let (buggy, buggy_stats) = feed.into_transit_reference(&road, &proj).expect("reference");
+        let (buggy, buggy_stats) = into_transit_reference(&feed, &road, &proj).expect("reference");
         assert_eq!(buggy.num_stops(), 4, "reference importer keeps the orphan");
         assert_eq!(buggy_stats.stops, 4);
         assert_eq!(buggy.adjacency_matrix().n(), 4, "orphan inflates the matrix dimension");
@@ -1220,7 +793,7 @@ mod tests {
 
         // The reference importer snaps it to a border node and fabricates
         // a hop tens of kilometers long.
-        let (buggy, buggy_stats) = feed.into_transit_reference(&road, &proj).expect("reference");
+        let (buggy, buggy_stats) = into_transit_reference(&feed, &road, &proj).expect("reference");
         assert_eq!(buggy.num_stops(), 4);
         assert_eq!(buggy.num_edges(), 3);
         assert!(buggy_stats.max_snap_m > 10_000.0, "absurd snap: {}", buggy_stats.max_snap_m);
@@ -1236,10 +809,7 @@ mod tests {
         );
         let proj = Projection::new(GeoPoint::new(41.85, -87.65));
         let feed = feed_over_nodes(&road, &proj, &[vec![0, 1], vec![0, 2]]);
-        let (net, stats) = GtfsIngest::new(&road)
-            .with_max_snap_m(f64::INFINITY)
-            .import(&feed, &proj)
-            .expect("import");
+        let (net, stats) = GtfsIngest::new(&road).import(&feed, &proj).expect("import");
         assert_eq!(net.num_stops(), 2);
         assert_eq!(stats.routes, 1);
         assert_eq!(stats.dropped_routes, 1);

@@ -36,7 +36,7 @@ pub use export::city_summary_json;
 pub use generator::{CityConfig, CoastSide, GeographyMask};
 pub use geojson::GeoJsonExporter;
 pub use gtfs::{GtfsError, GtfsFeed, GtfsImportStats, StopTimesReader, TripGroup};
-pub use ingest::{GtfsIngest, HopCacheStats, HopPathCache, SnapIndex};
+pub use ingest::{GtfsIngest, HopCacheStats, SnapIndex};
 pub use loaders::{
     load_city_json, load_trip_records_csv, save_city_json, trips_to_trajectories,
     trips_to_trajectories_with, TripRecord,

@@ -304,6 +304,32 @@ mod tests {
     }
 
     #[test]
+    fn malformed_transit_network_is_an_error_not_a_panic() {
+        // An edge endpoint past the last stop: planning would index the
+        // adjacency with it and panic.
+        let json = edited_city_json(|t| {
+            *at(t, &["transit", "edges", "0", "u"]) = serde_json::json!(10_000);
+        });
+        let err = load_error(&json);
+        assert!(err.contains("transit edge 0 (10000,") && err.contains("out of bounds"), "{err}");
+
+        // A route stop past the last stop.
+        let json = edited_city_json(|t| {
+            *at(t, &["transit", "routes", "0", "stops", "0"]) = serde_json::json!(9_999);
+        });
+        let err = load_error(&json);
+        assert!(err.contains("route 0 visits unknown stop 9999"), "{err}");
+
+        // An adjacency entry that disagrees with the edge list.
+        let json = edited_city_json(|t| {
+            let neighbour = at(t, &["transit", "adj", "0", "0"]);
+            *neighbour = serde_json::json!(neighbour.as_u64().unwrap() + 1);
+        });
+        let err = load_error(&json);
+        assert!(err.contains("transit adjacency disagrees"), "{err}");
+    }
+
+    #[test]
     fn city_json_roundtrip() {
         let city = CityConfig::small().trajectories(50).generate();
         let mut buf = Vec::new();

@@ -142,93 +142,3 @@ proptest! {
         prop_assert_eq!(&reparsed.stop_times, &feed.stop_times);
     }
 }
-
-/// A small-capped [`ct_data::HopPathCache`] raced by several importers:
-/// the cap churns entries constantly, but the conservation law
-/// `hits + dijkstra_runs == total corridor requests` must stay exact, and
-/// every batch must return correct paths — eviction is enforced only at
-/// batch start, so a concurrent batch can never lose an in-flight working
-/// set.
-#[test]
-fn capped_cache_survives_racing_realize_batches() {
-    use ct_data::HopPathCache;
-    use std::sync::Arc;
-
-    let city = CityConfig::small().seed(97).generate();
-    let road = &city.road;
-    let n = road.num_nodes() as u64;
-
-    // Deterministic corridor pool, several times larger than the cap so
-    // every batch both hits and evicts.
-    let pool: Vec<(u32, u32)> = (0..32u64)
-        .map(|i| ((i.wrapping_mul(2654435761) % n) as u32, ((i * 40503 + 7) % n) as u32))
-        .filter(|&(a, b)| a != b)
-        .collect();
-    // Independent oracle: plain point-to-point Dijkstra per corridor. The
-    // road graph is undirected, so the optimal distance is orientation-free
-    // even though a racing batch may have realized the reverse orientation.
-    let oracle: Vec<Option<f64>> =
-        pool.iter().map(|&(a, b)| ct_graph::shortest_path(road, a, b).map(|p| p.dist)).collect();
-    assert!(oracle.iter().any(Option::is_some), "pool has no routable corridor");
-
-    const CAP: usize = 4;
-    const IMPORTERS: usize = 4;
-    const BATCHES: usize = 6;
-    const BATCH_LEN: usize = 10;
-    let cache = Arc::new(HopPathCache::new().with_max_entries(CAP));
-
-    let total_requests: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..IMPORTERS)
-            .map(|t| {
-                let cache = Arc::clone(&cache);
-                let (pool, oracle) = (&pool, &oracle);
-                scope.spawn(move || {
-                    let mut requested = 0usize;
-                    for round in 0..BATCHES {
-                        // Overlapping rotated windows: importers keep
-                        // re-requesting corridors their peers just evicted.
-                        let start = (t * 5 + round * 3) % pool.len();
-                        let wanted: Vec<(u32, u32)> =
-                            (0..BATCH_LEN).map(|j| pool[(start + j) % pool.len()]).collect();
-                        requested += wanted.len();
-                        let got = cache.realize(road, &wanted, 2);
-                        assert_eq!(got.len(), wanted.len(), "batch answer arity");
-                        for (answer, &(a, b)) in got.iter().zip(&wanted) {
-                            let idx = pool.iter().position(|&p| p == (a, b)).unwrap();
-                            match (answer, oracle[idx]) {
-                                (Some((dist, edges)), Some(want)) => {
-                                    assert!(
-                                        (dist - want).abs() <= 1e-6 * want.max(1.0),
-                                        "corridor ({a}, {b}): got {dist}, oracle {want}"
-                                    );
-                                    assert!(!edges.is_empty(), "empty path for ({a}, {b})");
-                                }
-                                (None, None) => {}
-                                (got, want) => {
-                                    panic!("corridor ({a}, {b}): got {got:?}, oracle {want:?}")
-                                }
-                            }
-                        }
-                    }
-                    requested
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("importer panicked")).sum()
-    });
-
-    let s = cache.stats();
-    assert_eq!(total_requests, IMPORTERS * BATCHES * BATCH_LEN);
-    assert_eq!(s.hits + s.dijkstra_runs, total_requests, "counter conservation violated: {s:?}");
-    assert!(s.evictions > 0, "cap {CAP} over {} corridors never evicted: {s:?}", pool.len());
-
-    // The cap is enforced at the start of each batch (never mid-batch), so
-    // one more quiet single-corridor batch trims residency back to the cap
-    // before adding its own entry.
-    cache.realize(road, &pool[..1], 1);
-    assert!(
-        cache.unique_corridors() <= CAP + 1,
-        "cap not enforced: {} resident corridors (cap {CAP})",
-        cache.unique_corridors()
-    );
-}

@@ -99,6 +99,43 @@ impl TransitNetwork {
         (adj_ptr, adj)
     }
 
+    /// What makes this network unfit for planning: an edge endpoint or a
+    /// route stop that names no stop, an edge length that is not a positive
+    /// finite number, and an adjacency that disagrees with the edge list.
+    /// Empty for a network the builder made; a deserialized one skips the
+    /// builder, so loaders check it. The planner indexes stops by these ids
+    /// unchecked, so an out-of-range one would panic deep inside a plan.
+    pub fn validate(&self) -> Vec<String> {
+        let n = self.stops.len();
+        let mut problems = Vec::new();
+        for (i, e) in self.edges.iter().enumerate() {
+            if (e.u as usize) >= n || (e.v as usize) >= n {
+                problems.push(format!(
+                    "transit edge {i} ({},{}) out of bounds for {n} stops",
+                    e.u, e.v
+                ));
+            }
+            if !(e.length.is_finite() && e.length > 0.0) {
+                problems.push(format!(
+                    "transit edge {i} has length {}, not positive and finite",
+                    e.length
+                ));
+            }
+        }
+        for (r, route) in self.routes.iter().enumerate() {
+            if let Some(s) = route.stops.iter().find(|&&s| (s as usize) >= n) {
+                problems.push(format!("route {r} visits unknown stop {s} of {n}"));
+            }
+        }
+        if problems.is_empty() {
+            let (adj_ptr, adj) = Self::build_adjacency(n, &self.edges);
+            if adj_ptr != self.adj_ptr || adj != self.adj {
+                problems.push("transit adjacency disagrees with the edge list".to_string());
+            }
+        }
+        problems
+    }
+
     /// Number of stops `|Vr|`.
     pub fn num_stops(&self) -> usize {
         self.stops.len()
@@ -370,6 +407,20 @@ mod tests {
         b.add_route(&[0, 1, 2], geom);
         b.add_route(&[3, 1, 4], geom);
         b.build()
+    }
+
+    #[test]
+    fn validate_accepts_built_networks_and_flags_bad_lengths() {
+        assert!(cross_network().validate().is_empty());
+        for length in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut b = TransitNetworkBuilder::new();
+            b.add_stop(0, Point::new(0.0, 0.0));
+            b.add_stop(1, Point::new(1.0, 0.0));
+            b.add_route(&[0, 1], |_, _| (length, vec![]));
+            let problems = b.build().validate();
+            assert_eq!(problems.len(), 1, "{length}: {problems:?}");
+            assert!(problems[0].starts_with("transit edge 0 has length"), "{problems:?}");
+        }
     }
 
     #[test]

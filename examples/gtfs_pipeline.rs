@@ -38,7 +38,7 @@ fn main() {
     //    with exactly one Dijkstra, city-wide.
     let mut ingest = ct_bus::data::GtfsIngest::new(&city.road);
     let (transit, stats) = ingest.import_dir(&dir, &proj).expect("import feed");
-    let cache = ingest.cache().stats();
+    let cache = ingest.stats();
     println!(
         "imported: {} stops / {} edges / {} routes (max snap {:.1} m, {} dropped hops, \
          {} dropped stops; {} corridor Dijkstras, {} cache hits)",

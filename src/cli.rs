@@ -930,6 +930,23 @@ mod tests {
     }
 
     #[test]
+    fn plan_on_a_malformed_transit_layer_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join("ctbus-cli-bad-transit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let city_path = dir.join("city.json");
+        let mut tree = serde_json::to_value(CityConfig::small().generate()).unwrap();
+        let transit = tree.as_object_mut().unwrap().get_mut("transit").unwrap();
+        let edges = transit.as_object_mut().unwrap().get_mut("edges").unwrap();
+        let first = edges.as_array_mut().unwrap()[0].as_object_mut().unwrap();
+        *first.get_mut("u").unwrap() = serde_json::json!(10_000);
+        std::fs::write(&city_path, serde_json::to_string(&tree).unwrap()).unwrap();
+        let cli = Cli::parse(args(&format!("plan --city {} --k 4", city_path.display()))).unwrap();
+        let err = cli.execute(&mut Vec::new()).unwrap_err();
+        assert!(err.0.contains("transit edge 0 (10000,"), "{}", err.0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn serve_end_to_end() {
         let dir = std::env::temp_dir().join("ctbus-cli-serve-test");
         std::fs::create_dir_all(&dir).unwrap();
