@@ -1,13 +1,15 @@
 //! Criterion microbench behind Table 7: one planning run, ETA (online
 //! Lanczos scoring) vs ETA-Pre (pre-computed surrogate), across k.
 //!
-//! The `eta_sweep_*` pair pins the before/after of the parallel expansion
-//! engine on the medium city: `sequential` drives the epoch-batched
-//! frontier inline (the retained `run_sequential` reference), `parallel`
-//! fans expansion out over all cores through the work-stealing pool. Both
-//! produce bit-identical plans (asserted here before measuring); the gap
-//! between them is the engine's multicore speedup, recorded into
-//! `target/experiments/bench_baseline.json` by the vendored criterion
+//! The `eta_sweep_*` labels time the medium city. For online ETA they
+//! are a pair: `sequential` drives the epoch-batched frontier inline (the
+//! retained `run_sequential` reference), `parallel` fans expansion out
+//! over all cores through the work-stealing pool. Both produce
+//! bit-identical plans (asserted here before measuring); the gap between
+//! them is the engine's multicore speedup. ETA-Pre has only
+//! `eta_sweep_pre_sequential`: linear modes run inline at any thread
+//! count, so a parallel label would time the same run. Medians land in
+//! `target/experiments/bench_baseline.json` through the vendored criterion
 //! (see docs/benchmarks.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -41,11 +43,11 @@ fn bench_eta(c: &mut Criterion) {
     }
     group.finish();
 
-    // Medium-city ETA sweep, sequential inline execution vs the parallel
-    // work-stealing pool at the machine's available parallelism. The
-    // online-scored `Eta` mode is where expansion cost dominates (one SLQ
-    // trace per candidate extension); `EtaPre` measures the engine's
-    // overhead floor on cheap linear scoring.
+    // Medium-city ETA sweep. The online-scored `Eta` mode is where
+    // expansion cost dominates (one SLQ trace per candidate extension), so
+    // it is timed inline and on the work-stealing pool at the machine's
+    // available parallelism; `EtaPre` measures the engine's floor on cheap
+    // linear scoring, which always runs inline.
     let mut group = c.benchmark_group("eta_sweep");
     group.sample_size(10);
 
@@ -58,24 +60,27 @@ fn bench_eta(c: &mut Criterion) {
     let planner = Planner::new(&city, &demand, params);
     let threads = params.parallelism.worker_threads();
 
-    for (mode, label) in [(PlannerMode::Eta, "online"), (PlannerMode::EtaPre, "pre")] {
-        // The determinism contract the speedup rests on.
-        assert_eq!(
-            planner.run_sequential(mode).best,
-            planner.run_with_threads(mode, threads).best,
-            "parallel plan diverged from sequential reference"
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("eta_sweep_{label}_sequential"), "medium"),
-            &planner,
-            |b, p| b.iter(|| p.run_sequential(mode)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("eta_sweep_{label}_parallel"), "medium"),
-            &planner,
-            |b, p| b.iter(|| p.run_with_threads(mode, threads)),
-        );
-    }
+    // The determinism contract the speedup rests on.
+    assert_eq!(
+        planner.run_sequential(PlannerMode::Eta).best,
+        planner.run_with_threads(PlannerMode::Eta, threads).best,
+        "parallel plan diverged from sequential reference"
+    );
+    group.bench_with_input(
+        BenchmarkId::new("eta_sweep_online_sequential", "medium"),
+        &planner,
+        |b, p| b.iter(|| p.run_sequential(PlannerMode::Eta)),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("eta_sweep_online_parallel", "medium"),
+        &planner,
+        |b, p| b.iter(|| p.run_with_threads(PlannerMode::Eta, threads)),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("eta_sweep_pre_sequential", "medium"),
+        &planner,
+        |b, p| b.iter(|| p.run_sequential(PlannerMode::EtaPre)),
+    );
     group.finish();
 }
 

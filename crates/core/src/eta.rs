@@ -6,14 +6,16 @@
 //! frontier in **epochs** of up to [`crate::Parallelism::batch`] entries:
 //! each drained path is extended at both ends (best-neighbor by default,
 //! all-neighbors in the ETA-AN ablation), verified for feasibility
-//! (circle-free, turn budget, length ≤ k), and re-scored — in parallel,
-//! since each expansion is a pure function of the path and the frozen
-//! probes — then the results are merged back in drain order: incumbent
-//! updates, the Algorithm 2 incremental bound gate, and the domination
-//! check. With `batch = 1` this is exactly the paper's sequential
-//! poll-one-expand-one loop; larger batches preserve best-first order up
-//! to the batch boundary. Results are bit-identical under any thread
-//! count (enforced by tests against [`Planner::run_sequential`]).
+//! (circle-free, turn budget, length ≤ k), and re-scored — on the worker
+//! pool for online scoring, inline for the linear modes, whose 16-path
+//! epochs cost less than a hand-off; each expansion is a pure function of
+//! the path and the frozen probes, so either way gives the same bits —
+//! then the results are merged back in drain order: incumbent updates,
+//! the Algorithm 2 incremental bound gate, and the domination check. With
+//! `batch = 1` this is exactly the paper's sequential poll-one-expand-one
+//! loop; larger batches preserve best-first order up to the batch
+//! boundary. Results are bit-identical under any thread count (enforced
+//! by tests against [`Planner::run_sequential`]).
 //!
 //! Variants (paper §7):
 //!
@@ -201,8 +203,10 @@ impl Planner {
         &self.params
     }
 
-    /// Runs Algorithm 1 in the requested variant, fanning the frontier
-    /// expansion out over [`crate::Parallelism::worker_threads`] workers.
+    /// Runs Algorithm 1 in the requested variant. Online scoring
+    /// ([`PlannerMode::Eta`]) fans the frontier expansion out over
+    /// [`crate::Parallelism::worker_threads`] workers; the linear modes run
+    /// inline.
     pub fn run(&self, mode: PlannerMode) -> RunResult {
         self.run_with_threads(mode, self.params.parallelism.worker_threads())
     }
@@ -217,7 +221,9 @@ impl Planner {
     }
 
     /// [`Planner::run`] with an explicit worker count (exposed for the
-    /// thread-invariance tests and benches).
+    /// thread-invariance tests and benches). Only online scoring uses it:
+    /// a linear mode runs inline whatever `threads` says, which no output
+    /// can observe.
     pub fn run_with_threads(&self, mode: PlannerMode, threads: usize) -> RunResult {
         execute_plan(&self.params, &self.pre, mode, threads)
     }
@@ -240,6 +246,11 @@ pub(crate) fn execute_plan(
 
 /// [`execute_plan`] with the online-increment memo chosen by the caller
 /// (`None` solves every evaluation).
+///
+/// Only a mode that scores online gets `threads` workers. A linear mode
+/// expands a path in a few microseconds, so handing its epochs to workers
+/// and collecting the reports costs more than it saves; it runs inline,
+/// and the determinism contract makes the choice unobservable.
 pub(crate) fn execute_plan_with(
     params: &CtBusParams,
     pre: &Precomputed,
@@ -270,6 +281,7 @@ pub(crate) fn execute_plan_with(
     };
 
     let mk_ctx = || ExpandCtx::new(pre, params, cfg, w, &le_values, bound_list, memo);
+    let threads = if cfg.online_scoring { threads } else { 1 };
     let frontier = with_executor(threads, &mk_ctx, |executor| {
         let mut frontier = Frontier::new(&cfg, params);
 

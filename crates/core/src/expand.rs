@@ -715,11 +715,15 @@ impl Executor<'_> {
 /// executor drops the epoch senders, which ends the workers, whether
 /// `drive` returns or unwinds.
 ///
-/// The workers live for the whole run because a plan is many short
-/// epochs: spawning scoped threads per epoch measured 35% slower, p50
-/// 4.17 against 3.01 ms (`Planner::run_with_threads(EtaPre, 2)`,
-/// chicago_like, k = 10, sn = 300, it_max = 600, ~38 epochs of 16
-/// paths; 2-core host).
+/// Only online plans ([`crate::PlannerMode::Eta`]) reach this with more
+/// than one thread; linear modes run inline (`eta::execute_plan_with`).
+/// The workers live for the whole run because a plan is tens of epochs
+/// (~38 of 16 paths at k = 10, sn = 300, it_max = 600), and a spawn per
+/// epoch costs the same whatever the epoch holds: when linear plans still
+/// ran here, spawning scoped threads per epoch measured 4.17 against
+/// 3.01 ms p50 (EtaPre at 2 threads on chicago_like, 2-core host), about
+/// 30 µs per epoch. An online epoch on medium takes milliseconds, so the
+/// persistent pool saves a smaller share there, but it still saves it.
 pub(crate) fn with_executor<'a, R>(
     threads: usize,
     mk_ctx: &(dyn Fn() -> ExpandCtx<'a> + Sync),

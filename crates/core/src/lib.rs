@@ -25,9 +25,11 @@
 //! 4. [`eta`] runs the expansion-based traversal (Algorithm 1) in any of
 //!    its variants — online-Lanczos ETA, pre-computed ETA-Pre, and the
 //!    ablations ETA-ALL / ETA-AN / ETA-DT — plus the demand-first vk-TSP
-//!    baseline. The frontier expansion fans out over a work-stealing
-//!    thread pool ([`Parallelism`]) while staying bit-identical to the
-//!    retained sequential reference [`eta::Planner::run_sequential`];
+//!    baseline. Online ETA's frontier expansion fans out over a
+//!    work-stealing thread pool ([`Parallelism`]); the linear modes, whose
+//!    expansions are too cheap to hand off, run inline. Either way a run is
+//!    bit-identical to the retained sequential reference
+//!    [`eta::Planner::run_sequential`];
 //! 5. [`metrics`] scores plans with the paper's transfer-convenience
 //!    metrics (Table 6) and [`baselines`] implements the connectivity-first
 //!    comparison (Fig. 6);

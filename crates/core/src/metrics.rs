@@ -128,7 +128,7 @@ mod tests {
         let params = CtBusParams::small_defaults();
         let planner = Planner::new(&city, &demand, params);
         let res = planner.run(PlannerMode::EtaPre);
-        let cands = planner.precomputed().candidates.clone();
+        let cands = (*planner.precomputed().candidates).clone();
         (city, params, res.best, cands)
     }
 

@@ -23,7 +23,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
     /// Worker threads for parallel stages; `0` means "use
-    /// [`std::thread::available_parallelism`]". Never affects results.
+    /// [`std::thread::available_parallelism`]". The Δ(e) sweep and online
+    /// ETA's expansion use them; the linear planner modes run inline
+    /// whatever this says. Never affects results.
     pub threads: usize,
     /// Frontier entries drained per expansion epoch (§5's Algorithm 1 run
     /// batch-synchronously). Larger batches expose more parallelism but

@@ -75,19 +75,23 @@ pub struct PrecomputeTimings {
 
 /// Everything the planners consume.
 ///
-/// `Clone` is intentionally cheap-ish (vectors and the CSR matrix are
-/// copied, nothing is recomputed) so a [`crate::PlanningSession`] can fork
-/// what-if branches without redoing any numerical work.
+/// `Clone` is cheap and recomputes nothing: the candidate pool, Δ(e), both
+/// ranked lists, the estimator's probes and the Ritz basis sit behind
+/// `Arc`s that every clone shares, so a clone bumps their reference counts
+/// and copies only the base adjacency, the head's values and a few scalars.
+/// [`Precomputed::reparameterize`] and [`crate::PlanningSession::branch`]
+/// rest on this; [`crate::PlanningSession::commit`] copies the pool only
+/// when it must mutate a shared one.
 #[derive(Clone)]
 pub struct Precomputed {
     /// The candidate pool.
-    pub candidates: CandidateSet,
+    pub candidates: Arc<CandidateSet>,
     /// `Δ(e)` per candidate id (0 for existing edges).
-    pub delta: Vec<f64>,
+    pub delta: Arc<[f64]>,
     /// Candidates ranked by demand (`L_d`).
-    pub ld: RankedList,
+    pub ld: Arc<RankedList>,
     /// Candidates ranked by connectivity increment (`L_λ`).
-    pub llambda: RankedList,
+    pub llambda: Arc<RankedList>,
     /// Demand normalizer `d_max = Σ top-k L_d` (Eq. 12).
     pub d_max: f64,
     /// Connectivity normalizer `λ_max = Σ top-k L_λ` (Eq. 12).
@@ -161,7 +165,7 @@ impl Precomputed {
         let connectivity_secs = t1.elapsed().as_secs_f64();
 
         Self::assemble(
-            candidates,
+            Arc::new(candidates),
             delta,
             base_adj,
             base_trace,
@@ -184,7 +188,7 @@ impl Precomputed {
     /// construction.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
-        candidates: CandidateSet,
+        candidates: Arc<CandidateSet>,
         delta: Vec<f64>,
         base_adj: CsrMatrix,
         base_trace: f64,
@@ -194,8 +198,8 @@ impl Precomputed {
         head: Option<SpectrumHead>,
     ) -> Precomputed {
         let base_lambda = base_trace.ln() - (base_adj.n() as f64).ln();
-        let ld = RankedList::new(&candidates.demand_values());
-        let llambda = RankedList::new(&delta);
+        let ld = Arc::new(RankedList::new(&candidates.demand_values()));
+        let llambda = Arc::new(RankedList::new(&delta));
         let (top_eigs, spectrum_basis) = match head {
             Some(head) => (head.values, Some(Arc::new(head.vectors))),
             None => (Vec::new(), None),
@@ -204,7 +208,7 @@ impl Precomputed {
 
         Precomputed {
             candidates,
-            delta,
+            delta: delta.into(),
             ld,
             llambda,
             d_max: tail.d_max,
@@ -230,7 +234,7 @@ impl Precomputed {
     /// objective under this state's normalizers.
     pub(crate) fn le_values(&self, w: f64) -> Vec<f64> {
         let edges = self.candidates.edges();
-        edges.iter().zip(&self.delta).map(|(e, &d)| self.objective(w, e.demand, d)).collect()
+        edges.iter().zip(self.delta.iter()).map(|(e, &d)| self.objective(w, e.demand, d)).collect()
     }
 
     /// Re-derives the parameter-dependent artifacts (Eq. 12 normalizers,
@@ -239,7 +243,10 @@ impl Precomputed {
     /// planner run ranks `L_e(w)`.
     ///
     /// Parameter sweeps (Table 7, Figs. 10–12) rely on this: the candidate
-    /// pool and per-edge increments are `k`- and `w`-independent.
+    /// pool and per-edge increments are `k`- and `w`-independent. The view
+    /// is a [`Clone`] with a new tail: it shares the pool, Δ(e), the ranked
+    /// lists and the probes with `self` and copies none of them, and a
+    /// later commit on a session holding `self` leaves it untouched.
     pub fn reparameterize(&self, params: &CtBusParams) -> Precomputed {
         let tail = Tail::new(
             &self.ld,
@@ -250,20 +257,10 @@ impl Precomputed {
             params,
         );
         Precomputed {
-            candidates: self.candidates.clone(),
-            delta: self.delta.clone(),
-            ld: self.ld.clone(),
-            llambda: self.llambda.clone(),
             d_max: tail.d_max,
             lambda_max: tail.lambda_max,
-            base_lambda: self.base_lambda,
-            base_trace: self.base_trace,
-            top_eigs: self.top_eigs.clone(),
             conn_path_ub: tail.conn_path_ub,
-            spectrum_basis: self.spectrum_basis.clone(),
-            estimator: self.estimator.clone(),
-            base_adj: self.base_adj.clone(),
-            timings: self.timings,
+            ..self.clone()
         }
     }
 }

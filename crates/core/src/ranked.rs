@@ -17,17 +17,30 @@ pub struct RankedList {
 }
 
 impl RankedList {
-    /// Builds the ranking from values indexed by candidate id.
+    /// Builds the ranking from values indexed by candidate id: descending
+    /// by value, ties (−0.0 and 0.0 included) broken by ascending id.
+    ///
+    /// # Panics
+    /// Panics with "values are not NaN" if any value is NaN.
     pub fn new(values: &[f64]) -> Self {
+        // Sorting `(!key, id)` pairs ascending is the descending value
+        // order with ids ascending within a tie. Ids are unique, so the
+        // unstable sort yields the one stable order.
+        let mut keyed: Vec<(u64, u32)> = values
+            .iter()
+            .zip(0u32..)
+            .map(|(&v, id)| {
+                assert!(!v.is_nan(), "values are not NaN");
+                (!order_key(v), id)
+            })
+            .collect();
+        keyed.sort_unstable();
+        Self::from_order(keyed.into_iter().map(|(_, id)| id).collect(), values)
+    }
+
+    /// Completes a list from its descending `order` over `values`.
+    fn from_order(order: Vec<u32>, values: &[f64]) -> Self {
         let n = values.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        // Stable tie-break on id keeps everything deterministic.
-        order.sort_by(|&a, &b| {
-            values[b as usize]
-                .partial_cmp(&values[a as usize])
-                .expect("values are not NaN")
-                .then(a.cmp(&b))
-        });
         let mut rank_of = vec![0u32; n];
         for (rank, &id) in order.iter().enumerate() {
             rank_of[id as usize] = rank as u32;
@@ -73,6 +86,19 @@ impl RankedList {
     /// Iterator over candidate ids in descending value order.
     pub fn iter_desc(&self) -> impl Iterator<Item = u32> + '_ {
         self.order.iter().copied()
+    }
+}
+
+/// A key whose unsigned order is the numeric order of `v`, for any
+/// non-NaN `v`: the sign bit is flipped for non-negative values and every
+/// bit for negative ones. `v + 0.0` maps −0.0 to 0.0, so the two tie as
+/// they do under `partial_cmp`.
+fn order_key(v: f64) -> u64 {
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
@@ -141,6 +167,79 @@ pub fn rescan_bound(list: &RankedList, k: usize, path: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::sample_from;
+
+    use crate::fault::panic_message;
+
+    /// The comparator ranking the keyed sort replaced, kept as its oracle:
+    /// a stable `sort_by` on `partial_cmp`, descending, ties by id.
+    fn comparator_oracle(values: &[f64]) -> RankedList {
+        let mut order: Vec<u32> = (0..values.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            values[b as usize]
+                .partial_cmp(&values[a as usize])
+                .expect("values are not NaN")
+                .then(a.cmp(&b))
+        });
+        RankedList::from_order(order, values)
+    }
+
+    /// Values that tie often or sit at the edges of the f64 range.
+    const SPECIAL: [f64; 8] = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Every lookup of the keyed rank is bit-identical to the
+        // comparator rank's, over values with many ties, both zeros,
+        // subnormals and ±1e300.
+        #[test]
+        fn keyed_rank_equals_the_comparator_rank(
+            values in collection::vec(
+                (sample_from((0..16).collect::<Vec<usize>>()), -20.0f64..20.0).prop_map(
+                    |(pick, x)| match pick {
+                        0..=7 => SPECIAL[pick],
+                        8..=11 => x.round(),
+                        _ => x,
+                    },
+                ),
+                0..2001,
+            ),
+        ) {
+            let (keyed, oracle) = (RankedList::new(&values), comparator_oracle(&values));
+            prop_assert_eq!(keyed.len(), oracle.len());
+            prop_assert!(keyed.iter_desc().eq(oracle.iter_desc()), "iter_desc");
+            for i in 0..values.len() {
+                let id = i as u32;
+                prop_assert_eq!(keyed.rank(id), oracle.rank(id), "rank({})", id);
+                prop_assert_eq!(keyed.value(id).to_bits(), oracle.value(id).to_bits());
+                prop_assert_eq!(
+                    keyed.value_by_rank(i).to_bits(),
+                    oracle.value_by_rank(i).to_bits(),
+                    "value_by_rank({})",
+                    i
+                );
+            }
+            for k in 0..=values.len() + 1 {
+                prop_assert_eq!(
+                    keyed.top_k_sum(k).to_bits(),
+                    oracle.top_k_sum(k).to_bits(),
+                    "top_k_sum({})",
+                    k
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nan_panics_like_the_comparator_rank() {
+        let values = [1.0, f64::NAN, 0.5];
+        for build in [RankedList::new, comparator_oracle] {
+            let payload = std::panic::catch_unwind(|| build(&values)).expect_err("NaN panics");
+            assert_eq!(panic_message(payload), "values are not NaN");
+        }
+    }
 
     fn list() -> RankedList {
         RankedList::new(&[5.0, 9.0, 1.0, 7.0, 3.0])

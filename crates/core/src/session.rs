@@ -32,8 +32,9 @@
 //! of the twins commits. [`PlanningSession::commit`] is copy-on-write: a
 //! uniquely-owned snapshot is mutated in place (the PR 5 allocation-free
 //! refresh), a shared one — e.g. while the serving layer
-//! ([`crate::serve::ServeState`]) has it published, or a live branch still
-//! reads it — is cloned exactly once first, so concurrent readers keep
+//! ([`crate::serve::ServeState`]) has it published, or a live branch or a
+//! reparameterized view still reads it — is cloned first, and the clone
+//! copies the candidate pool once to mutate it, so concurrent readers keep
 //! planning against their old snapshot untouched. `PlanningSession` is
 //! `Send` (pinned by a compile-time test): sessions migrate freely across
 //! worker threads, and any number of them may share one base snapshot.
@@ -319,9 +320,13 @@ impl PlanningSession {
     /// ids index the session's pool). Empty plans are a no-op.
     ///
     /// Copy-on-write: when this session is the sole owner of its snapshot
-    /// (no live branch, nothing published), the refresh mutates in place —
-    /// zero structural copies. When the snapshot is shared, the commit
-    /// clones it exactly once and leaves every other holder's view intact.
+    /// (no live branch, nothing published, no reparameterized view), the
+    /// refresh mutates in place — zero structural copies. When the snapshot
+    /// is shared, the commit clones it, which copies only the base
+    /// adjacency, and then copies the candidate pool once to promote and
+    /// refresh it; Δ(e), the ranked lists and the probes are never copied
+    /// (the first two are rebuilt, the probes stay shared). Every other
+    /// holder's view stays intact.
     pub fn commit(&mut self, plan: &RoutePlan) -> CommitSummary {
         if plan.is_empty() {
             return CommitSummary {
@@ -333,7 +338,8 @@ impl PlanningSession {
             };
         }
         self.ensure_precomputed();
-        // Sole owner → unwrap and mutate in place; shared → one clone, the
+        // Sole owner → unwrap and mutate in place; shared → a clone that
+        // shares every `Arc` until `make_mut` below copies the pool, so the
         // other holders keep the old snapshot (snapshot isolation).
         let mut pre = match Arc::try_unwrap(self.pre.take().expect("ensured above")) {
             Ok(pre) => pre,
@@ -371,14 +377,13 @@ impl PlanningSession {
         //    the route's new hops in first-occurrence order — the order
         //    `with_route_added` appended them, hence the order a rebuild's
         //    candidate scan would encounter them in.
-        // The approximate tier carries the previous sweep forward, so the
-        // old Δ vector and Ritz basis must be lifted out before the pool
-        // reorder invalidates the id space.
-        let prev_delta =
-            if self.refresh.is_exact() { Vec::new() } else { std::mem::take(&mut pre.delta) };
+        // The approximate tier carries the previous sweep forward: `pre.delta`
+        // keeps the old id space, which `old_of` maps the reordered pool
+        // back to. The old Ritz basis is lifted out to seed the head.
         let prev_basis = if self.refresh.is_exact() { None } else { pre.spectrum_basis.take() };
-        let old_of = pre.candidates.promote_to_existing(&plan.new_stop_pairs);
-        let refreshed = pre.candidates.refresh_demand(&self.demand, &covered_mask);
+        let cands = Arc::make_mut(&mut pre.candidates);
+        let old_of = cands.promote_to_existing(&plan.new_stop_pairs);
+        let refreshed = cands.refresh_demand(&self.demand, &covered_mask);
         pre.base_adj.absorb_unit_edges(&plan.new_stop_pairs);
 
         // ctlint::allow(wall-clock): refresh_secs is commit-summary reporting only; the refresh math never reads the clock
@@ -401,7 +406,7 @@ impl PlanningSession {
                 for (id, slot) in delta.iter_mut().enumerate() {
                     if !pre.candidates.edge(id as u32).existing {
                         let old = if old_of.is_empty() { id } else { old_of[id] as usize };
-                        *slot = prev_delta.get(old).copied().unwrap_or(0.0);
+                        *slot = pre.delta.get(old).copied().unwrap_or(0.0);
                     }
                 }
                 // Touched = corridor overlap (the demand refresh's own
@@ -555,13 +560,22 @@ mod tests {
         }
     }
 
+    /// `b` holds the same k-independent arrays as `a` rather than copies.
+    fn assert_shares_arrays(a: &Precomputed, b: &Precomputed, what: &str) {
+        assert!(Arc::ptr_eq(a.candidates.turns(), b.candidates.turns()), "{what}: turn table");
+        assert!(Arc::ptr_eq(&a.candidates, &b.candidates), "{what}: pool");
+        assert!(Arc::ptr_eq(&a.delta, &b.delta), "{what}: delta");
+        assert!(Arc::ptr_eq(&a.ld, &b.ld), "{what}: ld");
+        assert!(Arc::ptr_eq(&a.llambda, &b.llambda), "{what}: llambda");
+    }
+
     #[test]
-    fn branch_and_reparameterize_share_the_turn_table() {
+    fn branch_and_reparameterize_share_the_precomputation_until_a_commit() {
         let (city, demand, params) = setup();
         let mut session = PlanningSession::new(city, demand, params);
         let table = Arc::clone(session.precomputed().candidates.turns());
         let mut branch = session.branch();
-        assert!(Arc::ptr_eq(&table, branch.precomputed().candidates.turns()), "branch");
+        assert_shares_arrays(session.precomputed(), branch.precomputed(), "branch");
         // The branch shares its snapshot, so its commit clones it first.
         let result = branch.plan(PlannerMode::EtaPre);
         assert!(!result.best.is_empty());
@@ -570,8 +584,31 @@ mod tests {
         let mut other = params;
         other.k = 4;
         other.w = 0.8;
-        let again = session.precomputed().reparameterize(&other);
-        assert!(Arc::ptr_eq(&table, again.candidates.turns()), "reparameterize");
+        let view = session.precomputed().reparameterize(&other);
+        assert_shares_arrays(session.precomputed(), &view, "reparameterize");
+
+        // Snapshot isolation under copy-on-write: a commit made while the
+        // view is alive copies the pool it mutates, and the view keeps its
+        // bits and plans as it did before the commit.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let delta = bits(&view.delta);
+        let (pool, pool_demand) =
+            (view.candidates.edges().to_vec(), view.candidates.demand_values());
+        let city = Arc::clone(session.city_handle());
+        let before = Planner::with_precomputed(&city, other, view.clone()).run(PlannerMode::EtaPre);
+        let result = session.plan(PlannerMode::EtaPre);
+        assert!(!result.best.is_empty());
+        session.commit(&result.best);
+        assert!(!Arc::ptr_eq(&session.precomputed().candidates, &view.candidates), "pool");
+        assert_eq!(bits(&view.delta), delta, "the view's delta changed");
+        assert_eq!(view.candidates.edges(), &pool[..], "the view's pool changed");
+        assert_eq!(bits(&view.candidates.demand_values()), bits(&pool_demand), "pool demand");
+        let after = Planner::with_precomputed(&city, other, view).run(PlannerMode::EtaPre);
+        assert_eq!(after.best, before.best);
+        assert_eq!(after.trace, before.trace);
+        assert_eq!(after.iterations, before.iterations);
+        assert_eq!(after.evaluations, before.evaluations);
+        assert_eq!(after.stop, before.stop);
     }
 
     #[test]

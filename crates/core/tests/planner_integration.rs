@@ -54,7 +54,7 @@ fn k_one_returns_single_best_seed() {
         .candidates
         .edges()
         .iter()
-        .zip(&pre.delta)
+        .zip(pre.delta.iter())
         .map(|(e, &delta)| pre.objective(params.w, e.demand, delta))
         .collect();
     let top = RankedList::new(&le).iter_desc().next().unwrap();

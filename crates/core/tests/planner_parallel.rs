@@ -8,6 +8,12 @@
 //! The contract holds because each expansion is a pure function of the
 //! drained path and the frozen probes, and merges happen in drain order
 //! (see `docs/ALGORITHMS.md`, "Determinism contract").
+//!
+//! Only online scoring (`PlannerMode::Eta`) runs its epochs on the worker
+//! pool; the linear modes plan inline at any thread count, so their cases
+//! here compare an inline run with an inline run. The pool is exercised by
+//! the `Eta` cases and by the `expand` unit tests, whose `run_pool` helper
+//! drives `with_executor` directly.
 
 use ct_core::{CtBusParams, Planner, PlannerMode, Precomputed};
 use ct_data::{City, CityConfig, DemandModel};
@@ -50,15 +56,15 @@ fn all_modes_bit_identical_across_thread_counts() {
 fn oversubscribed_pool_and_tiny_batch_still_identical() {
     // More workers than frontier entries, and a batch smaller than the
     // worker count: the stealing cursor runs dry and some workers expand
-    // nothing — results must not notice.
+    // nothing — results must not notice. Eta is the mode that runs on the
+    // pool.
     let (city, demand) = small_city(98);
     let mut params = CtBusParams::small_defaults();
     params.parallelism.batch = 2;
     params.sn = 25;
     params.it_max = 200;
     let planner = Planner::new(&city, &demand, params);
-    assert_runs_identical(&planner, PlannerMode::EtaPre, 8);
-    assert_runs_identical(&planner, PlannerMode::EtaAllNeighbors, 8);
+    assert_runs_identical(&planner, PlannerMode::Eta, 8);
 }
 
 proptest! {

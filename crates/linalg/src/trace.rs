@@ -16,6 +16,11 @@
 //! the matrix once for each tile of up to 16 probes. The batched sweep is
 //! bit-identical to a sequential loop of one scalar SLQ solve per probe
 //! (the tests keep that loop as the reference).
+//!
+//! The probe buffer sits behind an [`Arc`], so cloning an estimator shares
+//! it instead of copying `n × s` values.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,11 +51,14 @@ impl Default for TraceParams {
 /// the seed and (b) *comparable*: `λ` differences between two networks are
 /// estimated with common random numbers, which is what the CT-Bus planner
 /// needs when scoring candidate routes against the base network.
+///
+/// `Clone` shares the probes: the clone holds the same buffer and scores
+/// every matrix with the same bits.
 #[derive(Debug, Clone)]
 pub struct ConnectivityEstimator {
     /// Frozen probes, interleaved node-major: `probes[i*s + j]` (the layout
-    /// [`slq_trace_batch_in`] reads).
-    probes: Vec<f64>,
+    /// [`slq_trace_batch_in`] reads), shared by every clone.
+    probes: Arc<[f64]>,
     n: usize,
     num_probes: usize,
     lanczos_steps: usize,
@@ -72,7 +80,12 @@ impl ConnectivityEstimator {
                 probes[i * s + j] = sample_gaussian(&mut rng);
             }
         }
-        ConnectivityEstimator { probes, n, num_probes: s, lanczos_steps: params.lanczos_steps }
+        ConnectivityEstimator {
+            probes: probes.into(),
+            n,
+            num_probes: s,
+            lanczos_steps: params.lanczos_steps,
+        }
     }
 
     /// Estimated natural connectivity `λ = ln(tr(e^A)/n)` of `a`.
@@ -257,6 +270,16 @@ mod tests {
         let e1 = ConnectivityEstimator::new(40, &params, 7);
         let e2 = ConnectivityEstimator::new(40, &params, 7);
         assert_eq!(e1.trace_exp(&a).unwrap(), e2.trace_exp(&a).unwrap());
+    }
+
+    #[test]
+    fn a_clone_shares_the_probes_and_scores_the_same_bits() {
+        let a = random_graph(50, 100, 17);
+        let est = ConnectivityEstimator::new(50, &TraceParams { probes: 12, lanczos_steps: 8 }, 4);
+        let twin = est.clone();
+        assert!(Arc::ptr_eq(&est.probes, &twin.probes), "the clone copied the probes");
+        let (x, y) = (est.trace_exp(&a).unwrap(), twin.trace_exp(&a).unwrap());
+        assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
     }
 
     #[test]
