@@ -13,8 +13,8 @@
 //! oracle. An exact-policy session must reproduce it **bit for bit** —
 //! that invariant is asserted before anything is measured. The
 //! approximate-policy session replays the same rounds with scoped Δ
-//! re-sweeps and warm-started spectra; everything is deterministic, so
-//! the reported drift is a property of the tier, not of the run.
+//! re-sweeps; everything is deterministic, so the reported drift is a
+//! property of the tier, not of the run.
 //!
 //! **Drift report**, per round and aggregate:
 //!
@@ -33,10 +33,9 @@
 //! per-round marginal of a session absorbing one more route — `branch →
 //! commit → re-plan` — measured under each policy from identical states,
 //! medians over `--reps` repetitions, twice: for the *first* commit after
-//! a cold build and for a *later* one (after one commit). The two differ
-//! in where the approximate tier's spectrum head starts: the cold build's
-//! Ritz vectors or the previous commit's. With `--baseline` the medians
-//! land in `bench_baseline.json` as
+//! a cold build and for a *later* one (after one commit), whose carried
+//! Δ(e) already went through one scoped re-sweep. With `--baseline` the
+//! medians land in `bench_baseline.json` as
 //! `refresh_approx/first_commit_{exact,approx}_ns/{city}` and
 //! `refresh_approx/commit_replan_{exact,approx}_ns/{city}` so
 //! `bench_check` gates them; `--assert-speedup R` additionally requires
@@ -281,8 +280,8 @@ fn main() {
 
     // ── Timing: the per-round marginal under each policy, from identical
     // states with `commits` routes absorbed and the next one planned. After
-    // a commit the approximate state carries the previous commit's Ritz
-    // basis (the steady state it serves in); before any, the cold build's.
+    // a commit the approximate state carries Δ(e) from a scoped re-sweep
+    // (the steady state it serves in); before any, the cold build's.
     let state = |policy: RefreshPolicy, commits: usize| -> (PlanningSession, RoutePlan) {
         let mut s = PlanningSession::new(city.clone(), demand.clone(), params).with_refresh(policy);
         let mut next = s.plan(mode).best;

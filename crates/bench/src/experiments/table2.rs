@@ -35,7 +35,7 @@ pub fn run(ctx: &mut ExperimentCtx) {
         let (exact, t_eigen) = time_secs(|| natural_connectivity_exact(adj).expect("exact"));
         let (est, t_lanczos) =
             time_secs(|| bundle.pre.estimator.lambda(adj).expect("SLQ estimate"));
-        let eigs = &bundle.pre.top_eigs;
+        let eigs = bundle.pre.spectrum_head();
         let ((), t_general) = time_secs(|| {
             std::hint::black_box(general_bound(est, eigs, k, adj.n()));
         });

@@ -24,10 +24,11 @@ pub fn run(ctx: &mut ExperimentCtx) {
         let pre = &bundle.pre;
         let adj = &pre.base_adj;
         let base = pre.base_lambda;
+        let eigs = pre.spectrum_head();
 
         let estrada = estrada_bound(adj.num_undirected_edges(), k, adj.n()) - base;
-        let general = general_bound(base, &pre.top_eigs, k, adj.n()) - base;
-        let path = path_bound(base, &pre.top_eigs, k, adj.n()) - base;
+        let general = general_bound(base, eigs, k, adj.n()) - base;
+        let path = path_bound(base, eigs, k, adj.n()) - base;
         let incr = increment_bound(&pre.llambda, k);
 
         assert!(

@@ -184,6 +184,9 @@ pub(crate) struct ExpandCtx<'a> {
     cfg: ModeConfig,
     /// Effective objective weight (mode override applied).
     w: f64,
+    /// The run's connectivity-increment bound `O↑λ` (Lemma 4 at the run's
+    /// `k`); 0 unless the mode scores online.
+    conn_ub: f64,
     /// Per-candidate `L_e(w)` values for linear scoring (empty when online).
     le_values: &'a [f64],
     /// Ranked list backing the Algorithm 2 incremental bound.
@@ -197,6 +200,8 @@ pub(crate) struct ExpandCtx<'a> {
 }
 
 impl<'a> ExpandCtx<'a> {
+    /// An online mode's context reads the state's spectrum head, which the
+    /// first context of a state computes; a linear mode's never touches it.
     pub(crate) fn new(
         pre: &'a Precomputed,
         params: &'a CtBusParams,
@@ -212,7 +217,8 @@ impl<'a> ExpandCtx<'a> {
             edge_buf: Vec::new(),
             key: Vec::new(),
         });
-        ExpandCtx { pre, params, cfg, w, le_values, bound_list, scratch, memo, evals: 0 }
+        let conn_ub = if cfg.online_scoring { pre.conn_ub(params.k) } else { 0.0 };
+        ExpandCtx { pre, params, cfg, w, conn_ub, le_values, bound_list, scratch, memo, evals: 0 }
     }
 
     /// Whether candidate `id` may appear on a route under the mode.
@@ -223,7 +229,7 @@ impl<'a> ExpandCtx<'a> {
     /// The path-level objective upper bound from the incremental bound.
     fn ub_of(&self, bound: &IncrementalBound) -> f64 {
         if self.cfg.online_scoring {
-            self.pre.objective(self.w, bound.ub, self.pre.conn_path_ub)
+            self.pre.objective(self.w, bound.ub, self.conn_ub)
         } else {
             bound.ub
         }

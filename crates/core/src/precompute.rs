@@ -5,14 +5,19 @@
 //! * the candidate pool with road shortest paths and demands;
 //! * per-edge connectivity increments `Δ(e)` via paired-probe SLQ;
 //! * the ranked lists `L_d` (demand) and `L_λ` (increments);
-//! * the Eq. 12 normalizers `d_max`, `λ_max`, the base connectivity, the
-//!   top eigenvalues of the base adjacency, and the Lemma 4 path bound the
-//!   online planner uses as its connectivity upper bound.
+//! * the Eq. 12 normalizers `d_max`, `λ_max` and the base connectivity.
 //!
 //! `L_e` (Eq. 11, the combined normalized objective) is not stored: it
 //! depends on `w`, and vk-TSP plans at `w = 1` whatever the parameters say,
 //! so each linear-mode planner run computes and ranks its own under the
 //! stored normalizers.
+//!
+//! The top eigenvalues of the base adjacency, which only the Lemma 3/4
+//! bounds read, are not computed here either. Each state holds one
+//! [`Precomputed::spectrum_head`] cell that the first caller fills (an
+//! online planner run, or Table 2/3) and that every clone, view and branch
+//! of the state shares; an online run derives its Lemma 4 path bound from
+//! it ([`Precomputed::conn_ub`]). A linear-mode plan never computes it.
 //!
 //! The Δ(e) sweep is embarrassingly parallel and is spread over all cores
 //! with scoped threads pulling candidate ids off an atomic work-stealing
@@ -21,18 +26,15 @@
 //! allocations and **no** per-candidate CSR rebuilds: a candidate is scored
 //! by streaming the base matrix once per Lanczos step for each lane tile of
 //! frozen probes (lane matvec) with the candidate edge applied on the fly.
-//! The spectrum head runs in the same pool: one worker computes it before
-//! stealing ids, so no core idles behind it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ct_data::{City, DemandModel};
 use ct_linalg::lanczos::expm_column_in;
 use ct_linalg::{
     block_krylov_head, ConnectivityEstimator, CsrMatrix, EdgeOverlay, LanczosWorkspace,
-    SpectrumHead,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,8 +68,9 @@ pub struct PrecomputeTimings {
     /// and 11–12 ms on chicago_like (a 2-vCPU Xeon), a few percent of a
     /// build. A commit reports 0 here.
     pub shortest_path_secs: f64,
-    /// Connectivity estimation, seconds: the base trace, the Δ(e) sweep
-    /// and the spectrum head that runs beside it. A commit reports its
+    /// Connectivity estimation, seconds: the base trace and the Δ(e)
+    /// sweep. The spectrum head is not part of it: the first online plan
+    /// or Table 2/3 computes it on demand. A commit reports its
     /// `refresh_secs` here; promotion, demand refresh, absorb and ranking
     /// stay outside.
     pub connectivity_secs: f64,
@@ -76,12 +79,13 @@ pub struct PrecomputeTimings {
 /// Everything the planners consume.
 ///
 /// `Clone` is cheap and recomputes nothing: the candidate pool, Δ(e), both
-/// ranked lists, the estimator's probes and the Ritz basis sit behind
-/// `Arc`s that every clone shares, so a clone bumps their reference counts
-/// and copies only the base adjacency, the head's values and a few scalars.
+/// ranked lists, the estimator's probes and the spectrum-head cell sit
+/// behind `Arc`s that every clone shares, so a clone bumps their reference
+/// counts and copies only the base adjacency and a few scalars.
 /// [`Precomputed::reparameterize`] and [`crate::PlanningSession::branch`]
 /// rest on this; [`crate::PlanningSession::commit`] copies the pool only
-/// when it must mutate a shared one.
+/// when it must mutate a shared one, and gives the state it produces a new
+/// cell.
 #[derive(Clone)]
 pub struct Precomputed {
     /// The candidate pool.
@@ -100,16 +104,24 @@ pub struct Precomputed {
     pub base_lambda: f64,
     /// Estimated `tr(e^A)` of the base network (frozen probes).
     pub base_trace: f64,
-    /// Top eigenvalues of the base adjacency, descending.
+    /// Always empty. Kept for external readers of the field until they move
+    /// to [`Precomputed::spectrum_head`]; nothing in this workspace reads
+    /// it.
     pub top_eigs: Vec<f64>,
-    /// Lemma 4 connectivity-increment upper bound for a `k`-edge path
-    /// (`path_bound − λ(Gr)`), the online planner's `O↑λ`.
+    /// The spectrum-free Estrada bound at this view's `k`, as an increment
+    /// over `λ(Gr)`: finite and admissible, but far looser than Lemma 4.
+    /// Kept for external readers of the field; the online planner's bound
+    /// is [`Precomputed::conn_ub`], and nothing in this workspace reads
+    /// this one.
     pub conn_path_ub: f64,
-    /// Ritz vectors paired with `top_eigs` front to front, kept by every
-    /// build and commit so the next approximate-tier commit can seed its
-    /// spectrum head with them; `None` only when the spectrum solve failed.
-    /// No planner reads it.
+    /// Always `None`: no state keeps Ritz vectors. Kept for external
+    /// readers of the field; nothing in this workspace reads it.
     pub spectrum_basis: Option<Arc<Vec<Vec<f64>>>>,
+    /// This state's spectrum head, filled on first use (see
+    /// [`Precomputed::spectrum_head`]). Every clone shares it, so it
+    /// belongs to the `base_adj` the state was assembled with; a commit,
+    /// the one in-place edit of `base_adj`, assembles a new cell.
+    pub(crate) head: Arc<SpectrumCell>,
     /// Frozen-probe estimator shared by all scoring.
     pub estimator: ConnectivityEstimator,
     /// Base adjacency matrix.
@@ -150,7 +162,7 @@ impl Precomputed {
         let mut workspaces: Vec<LanczosWorkspace> =
             (0..params.parallelism.worker_threads()).map(|_| LanczosWorkspace::new()).collect();
         let mut delta = vec![0.0f64; candidates.len()];
-        let head = sweep_deltas(
+        sweep_deltas(
             method,
             &candidates,
             &base_adj,
@@ -160,7 +172,6 @@ impl Precomputed {
             &new_candidate_ids(&candidates),
             &mut workspaces,
             &mut delta,
-            || spectrum_head(&base_adj, params, &[]),
         );
         let connectivity_secs = t1.elapsed().as_secs_f64();
 
@@ -172,21 +183,19 @@ impl Precomputed {
             estimator,
             params,
             PrecomputeTimings { shortest_path_secs, connectivity_secs },
-            head,
         )
     }
 
     /// Assembles the parameter-dependent tail of the pre-computation — the
-    /// ranked lists, the Eq. 12 normalizers and the Lemma 4 path bound —
-    /// from an already-computed candidate pool, Δ(e) sweep and
-    /// [`spectrum_head`] (`None` when its solve failed).
+    /// ranked lists and the Eq. 12 normalizers — from an already-computed
+    /// candidate pool and Δ(e) sweep, and gives the state a new, unfilled
+    /// spectrum-head cell sized by `params.k`.
     ///
     /// This is the single code path shared by [`Precomputed::build_with`]
     /// (cold start) and [`crate::PlanningSession::commit`] (incremental
     /// refresh): both feed it the same ingredients, so a committed session's
     /// artifacts are bit-identical to a from-scratch rebuild by
     /// construction.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         candidates: Arc<CandidateSet>,
         delta: Vec<f64>,
@@ -195,16 +204,12 @@ impl Precomputed {
         estimator: ConnectivityEstimator,
         params: &CtBusParams,
         timings: PrecomputeTimings,
-        head: Option<SpectrumHead>,
     ) -> Precomputed {
         let base_lambda = base_trace.ln() - (base_adj.n() as f64).ln();
         let ld = Arc::new(RankedList::new(&candidates.demand_values()));
         let llambda = Arc::new(RankedList::new(&delta));
-        let (top_eigs, spectrum_basis) = match head {
-            Some(head) => (head.values, Some(Arc::new(head.vectors))),
-            None => (Vec::new(), None),
-        };
-        let tail = Tail::new(&ld, &llambda, base_lambda, &top_eigs, &base_adj, params);
+        let tail = Tail::new(&ld, &llambda, base_lambda, &base_adj, params);
+        let head = Arc::new(SpectrumCell::new(&base_adj, params));
 
         Precomputed {
             candidates,
@@ -215,9 +220,10 @@ impl Precomputed {
             lambda_max: tail.lambda_max,
             base_lambda,
             base_trace,
-            top_eigs,
+            top_eigs: Vec::new(),
             conn_path_ub: tail.conn_path_ub,
-            spectrum_basis,
+            spectrum_basis: None,
+            head,
             estimator,
             base_adj,
             timings,
@@ -237,25 +243,50 @@ impl Precomputed {
         edges.iter().zip(self.delta.iter()).map(|(e, &d)| self.objective(w, e.demand, d)).collect()
     }
 
-    /// Re-derives the parameter-dependent artifacts (Eq. 12 normalizers,
-    /// the Lemma 4 bound) for new `k`/`w` without redoing the expensive
+    /// The top of the base adjacency's spectrum, descending: the values the
+    /// Lemma 3 and Lemma 4 bounds read (paper §5.2), `max(2k, 32)` of them
+    /// (capped by `n`) for the `k` this state was built or committed at.
+    /// Empty when the solve failed.
+    ///
+    /// Computed by the first call (a block-Krylov solve: about 15 ms on
+    /// medium and 300–380 ms on chicago_like at one thread of a 2-vCPU
+    /// Xeon) and shared by every clone, [`Precomputed::reparameterize`]
+    /// view and [`crate::PlanningSession::branch`] of the state. The solve is
+    /// unseeded, with the state's own `want` and RNG stream fixed when it
+    /// was assembled, so neither the thread nor the `k` that asks first can
+    /// change its bits, and a committed state reads the head of a cold
+    /// build on the evolved city. Linear-mode plans never call it.
+    pub fn spectrum_head(&self) -> &[f64] {
+        let cell = &*self.head;
+        cell.values.get_or_init(|| {
+            let mut rng = StdRng::seed_from_u64(cell.seed);
+            block_krylov_head(&self.base_adj, cell.want, 0, &[], &mut rng)
+                .map(|head| head.values)
+                .unwrap_or_default()
+        })
+    }
+
+    /// The online planner's connectivity-increment bound `O↑λ` for a
+    /// `k`-edge route: Lemma 4 over [`Precomputed::spectrum_head`] (which
+    /// this computes on first call), as an increment over `λ(Gr)`. An empty
+    /// head falls back to the Estrada bound.
+    pub fn conn_ub(&self, k: usize) -> f64 {
+        conn_path_ub(self.base_lambda, self.spectrum_head(), k, &self.base_adj)
+    }
+
+    /// Re-derives the parameter-dependent artifacts (the Eq. 12
+    /// normalizers) for new `k`/`w` without redoing the expensive
     /// candidate generation and Δ(e) sweep; `w` itself enters only when a
     /// planner run ranks `L_e(w)`.
     ///
     /// Parameter sweeps (Table 7, Figs. 10–12) rely on this: the candidate
     /// pool and per-edge increments are `k`- and `w`-independent. The view
     /// is a [`Clone`] with a new tail: it shares the pool, Δ(e), the ranked
-    /// lists and the probes with `self` and copies none of them, and a
-    /// later commit on a session holding `self` leaves it untouched.
+    /// lists, the probes and the spectrum-head cell with `self` and copies
+    /// none of them, and a later commit on a session holding `self` leaves
+    /// it untouched.
     pub fn reparameterize(&self, params: &CtBusParams) -> Precomputed {
-        let tail = Tail::new(
-            &self.ld,
-            &self.llambda,
-            self.base_lambda,
-            &self.top_eigs,
-            &self.base_adj,
-            params,
-        );
+        let tail = Tail::new(&self.ld, &self.llambda, self.base_lambda, &self.base_adj, params);
         Precomputed {
             d_max: tail.d_max,
             lambda_max: tail.lambda_max,
@@ -266,7 +297,7 @@ impl Precomputed {
 }
 
 /// The `k`-dependent tail of the pre-computation: the Eq. 12 normalizers
-/// and the Lemma 4 path bound.
+/// and the spectrum-free bound of the `conn_path_ub` field.
 struct Tail {
     d_max: f64,
     lambda_max: f64,
@@ -278,21 +309,41 @@ impl Tail {
         ld: &RankedList,
         llambda: &RankedList,
         base_lambda: f64,
-        top_eigs: &[f64],
         base_adj: &CsrMatrix,
         params: &CtBusParams,
     ) -> Tail {
         let d_max = ld.top_k_sum(params.k).max(f64::MIN_POSITIVE);
         let lambda_max = llambda.top_k_sum(params.k).max(f64::MIN_POSITIVE);
-        let conn_path_ub = conn_path_ub(base_lambda, top_eigs, params.k, base_adj);
+        let conn_path_ub = conn_path_ub(base_lambda, &[], params.k, base_adj);
         Tail { d_max, lambda_max, conn_path_ub }
     }
 }
 
-/// The online planner's connectivity-increment bound `O↑λ`: Lemma 4 over
-/// the spectrum head, as an increment over `λ(Gr)`. An empty head (a
-/// failed spectrum solve) falls back to the spectrum-free Estrada bound,
-/// loose enough that the online modes prune nothing on it.
+/// One state's spectrum head: empty until [`Precomputed::spectrum_head`]
+/// fills it, then fixed. `want` (`max(2k, 32)` capped by `n`: the 2k values
+/// Lemma 3 reads, and Lemma 4 needs ⌈k/2⌉) and the RNG seed come from the
+/// parameters the state was assembled with; `path_bound` pads a head that a
+/// view reparameterized to larger k finds short.
+pub(crate) struct SpectrumCell {
+    pub(crate) values: OnceLock<Vec<f64>>,
+    want: usize,
+    seed: u64,
+}
+
+impl SpectrumCell {
+    fn new(base_adj: &CsrMatrix, params: &CtBusParams) -> SpectrumCell {
+        SpectrumCell {
+            values: OnceLock::new(),
+            want: (2 * params.k).max(32).min(base_adj.n()),
+            seed: params.probe_seed ^ 0x9E37_79B9,
+        }
+    }
+}
+
+/// The connectivity-increment bound `O↑λ`: Lemma 4 over the spectrum head,
+/// as an increment over `λ(Gr)`. An empty head (a failed spectrum solve)
+/// falls back to the spectrum-free Estrada bound, loose enough that the
+/// online modes prune nothing on it.
 fn conn_path_ub(base_lambda: f64, top_eigs: &[f64], k: usize, adj: &CsrMatrix) -> f64 {
     let bound = if top_eigs.is_empty() {
         estrada_bound(adj.num_undirected_edges(), k, adj.n())
@@ -300,26 +351,6 @@ fn conn_path_ub(base_lambda: f64, top_eigs: &[f64], k: usize, adj: &CsrMatrix) -
         path_bound(base_lambda, top_eigs, k, adj.n())
     };
     (bound - base_lambda).max(0.0)
-}
-
-/// The spectrum head for the Lemma 3/4 bounds: the 2k values Lemma 3 reads
-/// (Lemma 4 needs ⌈k/2⌉), at least 32, with their Ritz vectors.
-/// `path_bound` pads a head that a later `reparameterize` to larger k finds
-/// short. `None` when the solve fails.
-///
-/// `seeds` are the Ritz vectors the head starts from: empty for a cold
-/// build and every exact-tier commit (the unseeded head, bit-identical to a
-/// rebuild), the previous head's for an approximate-tier commit. Every
-/// input is fixed before the Δ-sweep starts and the RNG stream is its own,
-/// so running it as the sweep pool's extra job cannot change its bits.
-pub(crate) fn spectrum_head(
-    base_adj: &CsrMatrix,
-    params: &CtBusParams,
-    seeds: &[Vec<f64>],
-) -> Option<SpectrumHead> {
-    let want = (2 * params.k).max(32).min(base_adj.n());
-    let mut rng = StdRng::seed_from_u64(params.probe_seed ^ 0x9E37_79B9);
-    block_krylov_head(base_adj, want, 0, seeds, &mut rng).ok()
 }
 
 /// The ids of every new (non-existing) candidate, ascending: what a build
@@ -354,14 +385,12 @@ pub fn compute_deltas_with_threads(
         &new_candidate_ids(candidates),
         &mut workspaces,
         &mut delta,
-        || (),
     );
     delta
 }
 
 /// The Δ(e) sweep: estimates `Δ(e)` for exactly the candidates in `ids`,
-/// writing `delta[id]` and leaving every other slot untouched, and runs
-/// `job` (the [`spectrum_head`]) beside it, returning its result.
+/// writing `delta[id]` and leaving every other slot untouched.
 ///
 /// Builds and exact-tier commits pass every new candidate; approximate-tier
 /// commits pass only the candidates the committed route touched. Each
@@ -369,20 +398,17 @@ pub fn compute_deltas_with_threads(
 /// base matrix (perturbation), so the output is invariant under the
 /// worker count and under how the id set is split.
 ///
-/// * [`DeltaMethod::PairedProbes`] — one scoped worker per workspace pulls
-///   ids off a shared atomic counter (work stealing: a skewed pool leaves
-///   no core idle behind a static partition) and scores each candidate
-///   through a reusable [`EdgeOverlay`] of the base matrix with its own
-///   [`LanczosWorkspace`]: zero CSR rebuilds, zero steady-state
-///   allocations. The workspaces are caller-owned, so a session reuses
-///   them across commits. `job` is the pool's longest work item, so the
-///   first worker runs it before stealing any id and the others start
-///   stealing at once; it counts as one item when sizing the pool, so a
-///   one-id sweep still gets two workers. With one worker everything runs
+/// * [`DeltaMethod::PairedProbes`] — one scoped worker per workspace, up to
+///   one per id, pulls ids off a shared atomic counter (work stealing: a
+///   skewed pool leaves no core idle behind a static partition) and scores
+///   each candidate through a reusable [`EdgeOverlay`] of the base matrix
+///   with its own [`LanczosWorkspace`]: zero CSR rebuilds, zero
+///   steady-state allocations. The workspaces are caller-owned, so a
+///   session reuses them across commits. With one worker everything runs
 ///   on the calling thread and no thread is spawned. A worker's panic
 ///   reaches the caller with its own payload.
 /// * [`DeltaMethod::Perturbation`] — second-order perturbation estimate,
-///   sequential, with `job` run after it.
+///   sequential.
 ///   For the rank-2 perturbation `E = e_u e_vᵀ + e_v e_uᵀ` (u ≠ v):
 ///   first order, `tr(e^A E) = 2(e^A)_{uv}` (the u–v communicability);
 ///   second order (commuting approximation of the Duhamel integral),
@@ -397,10 +423,10 @@ pub fn compute_deltas_with_threads(
 ///   all its edges.
 ///
 /// # Panics
-/// Panics if the paired-probe sweep gets no workspace, if an id is out of
-/// range for `delta`, or if `job` panics.
+/// Panics if the paired-probe sweep gets no workspace or if an id is out
+/// of range for the pool or for `delta`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_deltas<T: Send>(
+pub(crate) fn sweep_deltas(
     method: DeltaMethod,
     candidates: &CandidateSet,
     base: &CsrMatrix,
@@ -410,11 +436,11 @@ pub(crate) fn sweep_deltas<T: Send>(
     ids: &[u32],
     workspaces: &mut [LanczosWorkspace],
     delta: &mut [f64],
-    job: impl FnOnce() -> T + Send,
-) -> T {
+) {
     match method {
         DeltaMethod::PairedProbes => {
-            let workers = workspaces.len().min(ids.len() + 1);
+            assert!(!workspaces.is_empty(), "the Δ(e) sweep needs at least one workspace");
+            let workers = workspaces.len().min(ids.len()).max(1);
             let next = AtomicUsize::new(0);
             let next = &next;
             let steal = move |ws: &mut LanczosWorkspace| {
@@ -435,26 +461,17 @@ pub(crate) fn sweep_deltas<T: Send>(
                 }
                 out
             };
-            let (first, rest) = workspaces[..workers]
-                .split_first_mut()
-                .expect("the Δ(e) sweep needs at least one workspace");
-            let (out, parts) = if rest.is_empty() {
-                (job(), vec![steal(first)])
-            } else {
-                std::thread::scope(|s| {
-                    let head = s.spawn(move || (job(), steal(first)));
-                    let stealers: Vec<_> =
-                        rest.iter_mut().map(|ws| s.spawn(move || steal(ws))).collect();
-                    let (out, part) = join_worker(head);
-                    let mut parts = vec![part];
-                    parts.extend(stealers.into_iter().map(join_worker));
-                    (out, parts)
-                })
+            let parts = match &mut workspaces[..workers] {
+                [only] => vec![steal(only)],
+                pool => std::thread::scope(|s| {
+                    let handles: Vec<_> =
+                        pool.iter_mut().map(|ws| s.spawn(move || steal(ws))).collect();
+                    handles.into_iter().map(join_worker).collect()
+                }),
             };
             for (id, inc) in parts.into_iter().flatten() {
                 delta[id as usize] = inc;
             }
-            out
         }
         DeltaMethod::Perturbation => {
             // Columns of e^A for every endpoint of a swept candidate edge:
@@ -498,7 +515,6 @@ pub(crate) fn sweep_deltas<T: Send>(
                 let trace_gain = 2.0 * comm + 0.5 * diag;
                 delta[id as usize] = (trace_gain / base_trace).ln_1p().max(0.0);
             }
-            job()
         }
     }
 }
@@ -619,12 +635,8 @@ mod tests {
         let (city, demand, params) = setup();
         let pre = Precomputed::build(&city, &demand, &params);
         let best_single = pre.delta.iter().cloned().fold(0.0f64, f64::max);
-        assert!(
-            pre.conn_path_ub >= best_single - 1e-6,
-            "path ub {} < best single Δ {}",
-            pre.conn_path_ub,
-            best_single
-        );
+        let ub = pre.conn_ub(params.k);
+        assert!(ub >= best_single - 1e-6, "path ub {ub} < best single Δ {best_single}");
     }
 
     #[test]
@@ -710,7 +722,7 @@ mod tests {
         for i in 0..cheap.candidates.len() {
             assert!((cheap_le[i] - fresh_le[i]).abs() < 1e-9);
         }
-        assert!((cheap.conn_path_ub - fresh.conn_path_ub).abs() < 1e-6);
+        assert!((cheap.conn_ub(p2.k) - fresh.conn_ub(p2.k)).abs() < 1e-6);
     }
 
     #[test]
@@ -734,10 +746,10 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_pool_job_keeps_its_message() {
-        // The head runs as a pool job; a panic inside it (say, the
-        // eigensolver on a NaN Gram matrix) must reach the caller with its
-        // own message, inline at one worker and across a join at two.
+    fn a_panicking_sweep_worker_keeps_its_message() {
+        // A worker that panics mid-sweep (here on an id past the pool) must
+        // reach the caller with its own message, inline at one worker and
+        // across a join at two, whichever worker steals the bad id.
         let (city, demand, params) = setup();
         let candidates =
             CandidateSet::build(&city, &demand, params.tau_m, params.max_detour_factor);
@@ -745,7 +757,8 @@ mod tests {
         let estimator =
             ConnectivityEstimator::new(base.n(), &params.trace_params(), params.probe_seed);
         let base_trace = estimator.trace_exp(&base).unwrap().max(f64::MIN_POSITIVE);
-        let ids = new_candidate_ids(&candidates);
+        let mut ids = new_candidate_ids(&candidates)[..4].to_vec();
+        ids.insert(2, candidates.len() as u32);
         for threads in [1, 2] {
             let mut workspaces: Vec<LanczosWorkspace> =
                 (0..threads).map(|_| LanczosWorkspace::new()).collect();
@@ -758,17 +771,38 @@ mod tests {
                     &estimator,
                     base_trace,
                     params.lanczos_steps,
-                    &ids[..4],
+                    &ids,
                     &mut workspaces,
                     &mut delta,
-                    || -> () { panic!("spectrum job failed on purpose") },
                 )
             }))
-            .expect_err("the job's panic reaches the caller");
-            assert_eq!(
-                crate::fault::panic_message(payload),
-                "spectrum job failed on purpose",
-                "threads={threads}"
+            .expect_err("the worker's panic reaches the caller");
+            let msg = crate::fault::panic_message(payload);
+            assert!(
+                msg.contains("index out of bounds") && msg.contains(&ids[2].to_string()),
+                "threads={threads}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_head_falls_back_to_a_finite_admissible_bound() {
+        // A failed spectrum solve leaves an empty head: the bound must not
+        // collapse to λ(Gr) (an increment of 0 prunes every path), nor to
+        // +∞ (the online objective bound would turn NaN at w = 1), and must
+        // stay above Lemma 4 over the exact spectrum.
+        let (city, demand, params) = setup();
+        let pre = Precomputed::build(&city, &demand, &params);
+        let n = pre.base_adj.n();
+        let mut exact = ct_linalg::sparse_symmetric_eigenvalues(&pre.base_adj).unwrap();
+        exact.reverse();
+        for k in [10usize, 66] {
+            let lemma4 = path_bound(pre.base_lambda, &exact, k, n) - pre.base_lambda;
+            let ub = conn_path_ub(pre.base_lambda, &[], k, &pre.base_adj);
+            assert!(ub.is_finite(), "k={k}: empty head gave {ub}");
+            assert!(
+                ub >= lemma4,
+                "k={k}: empty-head bound {ub} under the exact Lemma 4 bound {lemma4}"
             );
         }
     }

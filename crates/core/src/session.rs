@@ -20,8 +20,9 @@
 //!   ([`ct_linalg::CsrMatrix::absorb_unit_edges`]), the candidate pool is
 //!   promoted/refreshed in place, and the Δ(e) sweep re-runs on the
 //!   absorbed matrix through the session's persistent Lanczos workspace
-//!   pool, with the spectrum head as one more job on its workers —
-//!   skipping candidate re-enumeration and all road Dijkstras;
+//!   pool — skipping candidate re-enumeration and all road Dijkstras. The
+//!   committed state starts with an empty spectrum-head cell, which its
+//!   first online plan fills ([`Precomputed::spectrum_head`]);
 //! * [`PlanningSession::branch`] — fork a what-if twin sharing the
 //!   heavyweight immutable layers.
 //!
@@ -62,7 +63,7 @@ use crate::metrics::apply_plan;
 use crate::params::CtBusParams;
 use crate::plan::RoutePlan;
 use crate::precompute::{
-    new_candidate_ids, spectrum_head, sweep_deltas, DeltaMethod, PrecomputeTimings, Precomputed,
+    new_candidate_ids, sweep_deltas, DeltaMethod, PrecomputeTimings, Precomputed,
 };
 use crate::sites::{select_sites, SiteParams, SiteSelection};
 use crate::{PlannerMode, RunResult};
@@ -77,8 +78,7 @@ use crate::{PlannerMode, RunResult};
 /// (`ct_bench`'s `drift` bin and `crates/core/tests/refresh_drift.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefreshPolicy {
-    /// Full re-sweep: every non-existing candidate's Δ(e) is re-estimated
-    /// and the spectrum head is rebuilt from fresh random probes.
+    /// Full re-sweep: every non-existing candidate's Δ(e) is re-estimated.
     /// Bit-identical to the rebuild-per-round reference.
     #[default]
     Exact,
@@ -86,9 +86,9 @@ pub enum RefreshPolicy {
     /// the committed route, plus candidates incident to its stops (the
     /// second-order connectivity shift around the new hubs), are
     /// re-scored; everything else carries its previous Δ(e) forward. The
-    /// spectrum head is re-converged from the previous state's Ritz
-    /// vectors (every build and commit keeps them) instead of fresh
-    /// probes.
+    /// spectrum head is the same as under [`RefreshPolicy::Exact`]: the
+    /// committed state computes it on demand from its own adjacency, so it
+    /// equals a cold build's.
     Approximate,
 }
 
@@ -119,10 +119,10 @@ pub struct CommitSummary {
     /// [`RefreshPolicy::Approximate`].
     pub swept_candidates: usize,
     /// Wall-clock seconds of the incremental refresh's numerics: the base
-    /// trace, the Δ-sweep and the spectrum head that runs beside it — the
-    /// per-round cost a cold rebuild would dwarf with its
-    /// candidate-generation shortest paths on top. Promotion, demand
-    /// refresh, absorb and ranking stay outside.
+    /// trace and the Δ-sweep — the per-round cost a cold rebuild would
+    /// dwarf with its candidate-generation shortest paths on top.
+    /// Promotion, demand refresh, absorb and ranking stay outside, and the
+    /// spectrum head is left to the committed state's first online plan.
     pub refresh_secs: f64,
 }
 
@@ -379,8 +379,7 @@ impl PlanningSession {
         //    candidate scan would encounter them in.
         // The approximate tier carries the previous sweep forward: `pre.delta`
         // keeps the old id space, which `old_of` maps the reordered pool
-        // back to. The old Ritz basis is lifted out to seed the head.
-        let prev_basis = if self.refresh.is_exact() { None } else { pre.spectrum_basis.take() };
+        // back to.
         let cands = Arc::make_mut(&mut pre.candidates);
         let old_of = cands.promote_to_existing(&plan.new_stop_pairs);
         let refreshed = cands.refresh_demand(&self.demand, &covered_mask);
@@ -425,11 +424,7 @@ impl PlanningSession {
         if self.workspaces.len() < threads {
             self.workspaces.resize_with(threads, LanczosWorkspace::new);
         }
-        // The exact tier restarts the spectrum head unseeded (bit-identical
-        // to a rebuild); the approximate tier seeds it with the previous
-        // head's Ritz vectors. It runs beside the sweep on its workers.
-        let seeds = prev_basis.as_deref().map_or(&[][..], Vec::as_slice);
-        let head = sweep_deltas(
+        sweep_deltas(
             DeltaMethod::PairedProbes,
             &pre.candidates,
             &pre.base_adj,
@@ -439,7 +434,6 @@ impl PlanningSession {
             &ids,
             &mut self.workspaces[..threads],
             &mut delta,
-            || spectrum_head(&pre.base_adj, &self.params, seeds),
         );
         let refresh_secs = t0.elapsed().as_secs_f64();
 
@@ -452,7 +446,6 @@ impl PlanningSession {
             estimator,
             &self.params,
             PrecomputeTimings { shortest_path_secs: 0.0, connectivity_secs: refresh_secs },
-            head,
         )));
         self.commits += 1;
 
@@ -496,6 +489,7 @@ impl PlanningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::ServeState;
     use crate::Planner;
     use ct_data::CityConfig;
     use std::sync::Arc;
@@ -509,10 +503,15 @@ mod tests {
         (city, demand, params)
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Field-by-field equality of two pre-computations (timings excluded —
     /// they are wall-clock, everything else must be bit-identical), plus
-    /// the `L_e(w)` values a linear planner run ranks from them.
-    fn assert_pre_identical(a: &Precomputed, b: &Precomputed, w: f64, what: &str) {
+    /// the `L_e(w)` values a linear planner run ranks from them and the
+    /// spectrum head and bound an online run at `p.k` reads.
+    fn assert_pre_identical(a: &Precomputed, b: &Precomputed, p: &CtBusParams, what: &str) {
         assert_eq!(a.candidates.edges(), b.candidates.edges(), "{what}: candidates");
         assert_turns_identical(a, b, what);
         assert_eq!(a.delta, b.delta, "{what}: delta");
@@ -520,11 +519,10 @@ mod tests {
         assert_eq!(a.lambda_max, b.lambda_max, "{what}: lambda_max");
         assert_eq!(a.base_lambda, b.base_lambda, "{what}: base_lambda");
         assert_eq!(a.base_trace, b.base_trace, "{what}: base_trace");
-        assert_eq!(a.top_eigs, b.top_eigs, "{what}: top_eigs");
-        assert_eq!(a.spectrum_basis, b.spectrum_basis, "{what}: spectrum_basis");
-        assert_eq!(a.conn_path_ub, b.conn_path_ub, "{what}: conn_path_ub");
+        assert_eq!(bits(a.spectrum_head()), bits(b.spectrum_head()), "{what}: spectrum head");
+        assert_eq!(a.conn_ub(p.k).to_bits(), b.conn_ub(p.k).to_bits(), "{what}: online bound");
         assert_eq!(a.base_adj, b.base_adj, "{what}: base_adj");
-        let (a_le, b_le) = (a.le_values(w), b.le_values(w));
+        let (a_le, b_le) = (a.le_values(p.w), b.le_values(p.w));
         for id in 0..a.candidates.len() as u32 {
             assert_eq!(a_le[id as usize], b_le[id as usize], "{what}: le[{id}]");
             assert_eq!(a.ld.value(id), b.ld.value(id), "{what}: ld[{id}]");
@@ -590,7 +588,6 @@ mod tests {
         // Snapshot isolation under copy-on-write: a commit made while the
         // view is alive copies the pool it mutates, and the view keeps its
         // bits and plans as it did before the commit.
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let delta = bits(&view.delta);
         let (pool, pool_demand) =
             (view.candidates.edges().to_vec(), view.candidates.demand_values());
@@ -612,6 +609,41 @@ mod tests {
     }
 
     #[test]
+    fn one_spectrum_head_per_state() {
+        let (city, demand, mut params) = setup();
+        params.k = 10;
+        let cold = Precomputed::build(&city, &demand, &params);
+        let state = ServeState::new(city.clone(), demand.clone(), params);
+        let mut session = PlanningSession::new(city, demand, params);
+
+        // Every holder of one state reads one cell: a branch, a view at
+        // another k, and a clone of a published snapshot.
+        let pre = session.precomputed_handle();
+        let head = Arc::clone(&pre.head);
+        assert!(Arc::ptr_eq(&head, &session.branch().precomputed().head), "branch");
+        let view = pre.reparameterize(&CtBusParams { k: 40, ..params });
+        assert!(Arc::ptr_eq(&head, &view.head), "reparameterize");
+        let snapshot = state.current();
+        let copy = snapshot.precomputed().clone();
+        assert!(Arc::ptr_eq(&snapshot.precomputed().head, &copy.head), "serve snapshot clone");
+
+        // A view at k = 40 that asks first fills the cell with the head of
+        // the state's own k = 10, which every holder then reads.
+        assert!(head.values.get().is_none(), "the build computed the head");
+        assert_eq!(bits(view.spectrum_head()), bits(cold.spectrum_head()), "view at k = 40");
+        assert!(std::ptr::eq(pre.spectrum_head(), view.spectrum_head()), "one head");
+        drop((pre, view));
+
+        // A commit gives the state it produces a new, unfilled cell.
+        let plan = session.plan(PlannerMode::EtaPre).best;
+        assert!(!plan.is_empty());
+        session.commit(&plan);
+        let next = &session.precomputed().head;
+        assert!(!Arc::ptr_eq(&head, next), "the commit kept the old cell");
+        assert!(next.values.get().is_none(), "the commit computed the head");
+    }
+
+    #[test]
     fn commit_matches_fresh_build_bit_for_bit() {
         // The heart of the equivalence contract: after a commit, every
         // artifact equals a from-scratch build on the evolved state.
@@ -624,8 +656,8 @@ mod tests {
             }
             session.commit(&result.best);
             let fresh = Precomputed::build(session.city(), session.demand(), session.params());
-            let w = session.params().w;
-            assert_pre_identical(session.precomputed(), &fresh, w, &format!("round {round}"));
+            let p = *session.params();
+            assert_pre_identical(session.precomputed(), &fresh, &p, &format!("round {round}"));
         }
         assert!(session.commits() >= 1, "no route committed");
     }

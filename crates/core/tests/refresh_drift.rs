@@ -173,8 +173,8 @@ fn approximate_replay_is_deterministic() {
 
 #[test]
 fn approximate_chain_is_thread_invariant() {
-    // The seeded spectrum head runs beside the touched-id sweep on the
-    // sweep's workers; neither may depend on how many workers there are.
+    // Neither the touched-id sweep nor the spectrum head the committed
+    // state computes on demand may depend on how many workers there are.
     let (city, demand) = small_city(501);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let chain = |threads: usize| {
@@ -188,13 +188,11 @@ fn approximate_chain_is_thread_invariant() {
             assert!(!plan.is_empty(), "threads={threads}: empty plan");
             let summary = session.commit(&plan);
             let pre = session.precomputed();
-            let basis = pre.spectrum_basis.as_ref().expect("a seeded commit keeps its Ritz basis");
             rounds.push((
                 plan,
                 (summary.swept_candidates, summary.refreshed_candidates),
                 bits(&pre.delta),
-                bits(&pre.top_eigs),
-                basis.iter().map(|v| bits(v)).collect::<Vec<_>>(),
+                bits(pre.spectrum_head()),
             ));
         }
         rounds
@@ -206,52 +204,8 @@ fn approximate_chain_is_thread_invariant() {
             assert_eq!(g.0, r.0, "threads={threads} round {round}: plan");
             assert_eq!(g.1, r.1, "threads={threads} round {round}: swept/refreshed counts");
             assert_eq!(g.2, r.2, "threads={threads} round {round}: delta bits");
-            assert_eq!(g.3, r.3, "threads={threads} round {round}: top_eigs bits");
-            assert_eq!(g.4, r.4, "threads={threads} round {round}: spectrum_basis bits");
+            assert_eq!(g.3, r.3, "threads={threads} round {round}: spectrum head bits");
         }
-    }
-}
-
-#[test]
-fn first_approximate_commit_is_seeded_and_close() {
-    let (city, demand) = small_city(501);
-    let params = quick_params();
-    let mode = PlannerMode::EtaPre;
-    let mut session = PlanningSession::new(city.clone(), demand.clone(), params)
-        .with_refresh(RefreshPolicy::approximate());
-
-    // The cold build keeps its Ritz vectors, so the first approximate
-    // commit below starts from a converged head instead of a seedless one.
-    let cold = session.precomputed();
-    let n = cold.base_adj.n();
-    let want = (2 * params.k).max(32).min(n);
-    let cold_basis = cold.spectrum_basis.as_ref().expect("a cold build keeps its Ritz vectors");
-    assert_eq!(cold_basis.len(), want, "cold head keeps one vector per eigenvalue");
-    assert!(cold_basis.iter().all(|v| v.len() == n), "Ritz vectors have length n");
-    assert_eq!(cold.top_eigs.len(), want);
-
-    let first = session.plan(mode);
-    assert!(!first.best.is_empty());
-    session.commit(&first.best);
-
-    let pre = session.precomputed();
-    let basis = pre.spectrum_basis.as_ref().expect("a seeded commit keeps its Ritz basis");
-    assert_eq!(basis.len(), want, "seeded head keeps one vector per eigenvalue");
-    assert_eq!(pre.top_eigs.len(), want, "seeded spectrum head is short");
-
-    // The seeded head must track the exact spectrum of the evolved network.
-    let mut exact_session =
-        PlanningSession::new(city, demand, params).with_refresh(RefreshPolicy::Exact);
-    let exact_first = exact_session.plan(mode);
-    assert_eq!(exact_first.best, first.best);
-    exact_session.commit(&exact_first.best);
-    let exact_pre = exact_session.precomputed();
-    assert_eq!(exact_pre.top_eigs.len(), want);
-    for (i, (a, e)) in pre.top_eigs.iter().zip(&exact_pre.top_eigs).enumerate() {
-        assert!(
-            (a - e).abs() <= 0.05 * e.abs().max(1.0),
-            "eigenvalue {i}: seeded {a} vs exact {e}"
-        );
     }
 }
 

@@ -69,11 +69,6 @@ impl SnapIndex {
         self
     }
 
-    /// The configured snap radius, meters.
-    pub fn max_snap_m(&self) -> f64 {
-        self.max_snap_m
-    }
-
     /// Nearest road node within the snap radius, as `(node, distance_m)`;
     /// `None` if every road node is farther than `max_snap_m`.
     pub fn snap(&self, p: &Point) -> Option<(u32, f64)> {
@@ -483,7 +478,11 @@ mod tests {
     fn snap_index_enforces_radius() {
         let road = grid_road(3, 3);
         let snap = SnapIndex::build(&road);
-        assert_eq!(snap.max_snap_m(), DEFAULT_MAX_SNAP_M);
+        // The default radius: a stop just inside it of node 0 (every other
+        // node is farther) snaps there, and one just outside snaps nowhere.
+        let inside = snap.snap(&Point::new(-(DEFAULT_MAX_SNAP_M - 1.0), 0.0));
+        assert_eq!(inside, Some((0, DEFAULT_MAX_SNAP_M - 1.0)));
+        assert!(snap.snap(&Point::new(-(DEFAULT_MAX_SNAP_M + 1.0), 0.0)).is_none());
         let (node, d) = snap.snap(&Point::new(3.0, 4.0)).unwrap();
         assert_eq!(node, 0);
         assert!((d - 5.0).abs() < 1e-9);

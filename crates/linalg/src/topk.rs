@@ -8,9 +8,11 @@
 //! *distinct* eigenvalue, so they under-count the repeated eigenvalues
 //! common in graphs with symmetric substructures; a block wider than the
 //! largest multiplicity recovers them. Seeded with a previous head's
-//! vectors it re-converges in a fraction of the Krylov columns. This is
-//! what the bound code uses; [`block_krylov_topk`] and
-//! [`block_krylov_topk_warm`] are thin wrappers.
+//! vectors it re-converges in a fraction of the Krylov columns. The bound
+//! code runs it unseeded, once per planning state and only on demand
+//! (`ct_core::Precomputed::spectrum_head`); nothing in the workspace seeds
+//! it, and the seeded form stays for the benchmark's spectrum replays.
+//! [`block_krylov_topk`] and [`block_krylov_topk_warm`] are thin wrappers.
 
 use rand::Rng;
 
